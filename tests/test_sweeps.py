@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,3 +222,55 @@ def test_emit_report_bad_format(tmp_path):
     report = ExperimentReport("rank_one", ["a"], [], {})
     with pytest.raises(ValidationError):
         emit_report(report, tmp_path / "x", "yaml")
+
+
+# Fixed configs behind the reports in tests/golden/<experiment>.json.  Each
+# golden file is emit_report(run_sweep(load_config(config)), path, "json").
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+PWL = {"kind": "pwl", "breakpoints": [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], "seed": 3}
+GOLDEN_CONFIGS = {
+    "rank_one": {"function": {"kind": "abs"}},
+    "trace_class": {"function": {"kind": "abs"}},
+    "matsaev": {"function": PWL},
+    "interp": {"function": PWL, "p": 1.0, "epsilon": 0.5},
+    "certificate": {"function": {"kind": "abs"}, "dimensions": [20, 40], "n_values": [2, 4]},
+}
+
+
+def golden_config(experiment: str) -> SweepConfig:
+    data = {"experiment": experiment, "dimensions": [4, 8, 16], "ensemble": 2,
+            "seed": 905, "emit_curves": True, "format": "json"}
+    data.update(GOLDEN_CONFIGS[experiment])
+    return load_config(data)
+
+
+def assert_matches_golden(value, ref, where="report"):
+    # Rounding-level values (Birman-Solomyak residuals, the null tail of a
+    # rank-one spectrum) carry no relative precision across BLAS builds, hence
+    # the absolute floor next to the relative tolerance.
+    if isinstance(ref, dict):
+        assert isinstance(value, dict) and list(value) == list(ref), where
+        for key in ref:
+            assert_matches_golden(value[key], ref[key], f"{where}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(value, list) and len(value) == len(ref), where
+        for i, (v, r) in enumerate(zip(value, ref)):
+            assert_matches_golden(v, r, f"{where}[{i}]")
+    elif isinstance(ref, float):
+        assert isinstance(value, float), where
+        assert math.isclose(value, ref, rel_tol=1e-12, abs_tol=1e-12), (where, value, ref)
+    else:
+        assert type(value) is type(ref) and value == ref, (where, value, ref)
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN_CONFIGS))
+def test_report_matches_golden(experiment, tmp_path):
+    path = tmp_path / "report.json"
+    emit_report(run_sweep(golden_config(experiment)), path, "json")
+    report = json.loads(path.read_text())
+    golden = json.loads((GOLDEN_DIR / f"{experiment}.json").read_text())
+    assert report["experiment"] == golden["experiment"] == experiment
+    assert report["columns"] == golden["columns"]
+    assert [list(row) for row in report["rows"]] == [list(row) for row in golden["rows"]]
+    assert [c["label"] for c in report["curves"]] == [c["label"] for c in golden["curves"]]
+    assert_matches_golden(report, golden)
