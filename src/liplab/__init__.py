@@ -13,7 +13,7 @@ from .certificate import (IntervalPartition, WeakDecayCertificate, build_certifi
                           truncation_tail_hs, verify_certificate, write_certificate)
 from .doi import check_birman_solomyak, doi_apply, f_delta, rank_one_perturb
 from .errors import (CertificateUnsoundError, ConvergenceError, EvaluationError,
-                     PartitionInfeasibleError, ValidationError)
+                     PartitionInfeasibleError, SoundnessError, ValidationError)
 from .functions import (LipschitzFunction, absolute_value, apply_function, clamp_function,
                         constant_function, default_suite, divided_difference,
                         estimate_lip_seminorm, function_from_spec, identity_function,

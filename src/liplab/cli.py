@@ -2,7 +2,8 @@
 
 Subcommands: fdelta, doi, bscheck, certify, sweep.  Exit codes: 0 success,
 2 validation error (bad input, bad config, bad file), 3 soundness failure
-(certificate unsound, or a Birman-Solomyak residual out of contract).
+(certificate unsound, a Birman-Solomyak residual out of contract, or a sweep's
+S2 Schur-multiplier bound violated).
 """
 
 from __future__ import annotations
@@ -10,14 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .certificate import build_certificate, certificate_to_dict, verify_certificate
 from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
-from .errors import CertificateUnsoundError, ValidationError
+from .errors import SoundnessError, ValidationError
 from .functions import function_from_spec
-from .linalg import eigh_symmetric, read_matrix, write_matrix
+from .linalg import eigh_symmetric, matrix_text, read_matrix, write_matrix
 from .measures import materialize, read_kernel_operator
 from .sweeps import emit_report, load_config, run_sweep
 
@@ -43,19 +45,15 @@ def _cmd_fdelta(args) -> int:
     f = _load_function(args.function)
     a = read_matrix(args.a)
     b = read_matrix(args.b)
-    result = f_delta(f, a, b)
-    if args.out:
-        write_matrix(args.out, result)
+    return _output_matrix(f_delta(f, a, b), args.out)
+
+
+def _output_matrix(m, out) -> int:
+    if out:
+        write_matrix(out, m)
     else:
-        print(_matrix_text(result), end="")
+        print(matrix_text(m), end="")
     return 0
-
-
-def _matrix_text(m) -> str:
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_doi(args) -> int:
@@ -63,12 +61,7 @@ def _cmd_doi(args) -> int:
     a = read_matrix(args.a)
     b = read_matrix(args.b)
     t = read_matrix(args.t)
-    result = doi_apply(f, eigh_symmetric(a), eigh_symmetric(b), t)
-    if args.out:
-        write_matrix(args.out, result)
-    else:
-        print(_matrix_text(result), end="")
-    return 0
+    return _output_matrix(doi_apply(f, eigh_symmetric(a), eigh_symmetric(b), t), args.out)
 
 
 def _cmd_bscheck(args) -> int:
@@ -122,18 +115,9 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.format is not None:
-        overrides["format"] = args.format
-    if overrides:
-        data = {name: getattr(cfg, name) for name in cfg.__dataclass_fields__}
-        data.update(overrides)
-        cfg = load_config(data)
+    overrides = {"seed": args.seed, "out": args.out, "format": args.format}
+    cfg = replace(load_config(args.config),
+                  **{name: value for name, value in overrides.items() if value is not None})
     report = run_sweep(cfg)
     if cfg.out:
         emit_report(report, cfg.out, cfg.format)
@@ -194,7 +178,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CertificateUnsoundError as exc:
+    except SoundnessError as exc:
         print(f"unsound: {exc}", file=sys.stderr)
         return 3
 

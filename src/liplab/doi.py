@@ -49,10 +49,10 @@ def bs_residual_bound(a, b, lip: float) -> float:
     return BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip)
 
 
-def check_birman_solomyak(f: LipschitzFunction, a, b, *,
+def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
                           dec_a: SpectralDecomposition | None = None,
-                          dec_b: SpectralDecomposition | None = None) -> float:
-    """Frobenius residual of f(A) - f(B) against the double operator integral.
+                          dec_b: SpectralDecomposition | None = None) -> tuple[np.ndarray, float]:
+    """f(A) - f(B) and its Frobenius residual against the double operator integral.
 
     The identity is exact in exact arithmetic, so the residual measures only
     rounding; it must stay below bs_residual_bound(a, b, f.lip).  Precomputed
@@ -66,7 +66,17 @@ def check_birman_solomyak(f: LipschitzFunction, a, b, *,
     db = dec_b if dec_b is not None else eigh_symmetric(mb)
     delta = apply_function(f, da) - apply_function(f, db)
     integral = doi_apply(f, da, db, ma - mb)
-    return frobenius(delta - integral)
+    return delta, frobenius(delta - integral)
+
+
+def check_birman_solomyak(f: LipschitzFunction, a, b, *,
+                          dec_a: SpectralDecomposition | None = None,
+                          dec_b: SpectralDecomposition | None = None) -> float:
+    """Frobenius residual of f(A) - f(B) against the double operator integral.
+
+    See birman_solomyak_delta, which also returns f(A) - f(B) itself.
+    """
+    return birman_solomyak_delta(f, a, b, dec_a=dec_a, dec_b=dec_b)[1]
 
 
 def rank_one_perturb(a, u, c: float) -> np.ndarray:

@@ -17,8 +17,8 @@ class PartitionInfeasibleError(RuntimeError):
     """Interval partition cannot satisfy its weight cap; heavy-atom masking was skipped."""
 
 
-class CertificateUnsoundError(RuntimeError):
-    """A decay certificate failed verification.
+class SoundnessError(RuntimeError):
+    """A computed result broke the bound that vouches for it (an implementation bug).
 
     Carries the observed value and the allowed bound so reports can show both.
     """
@@ -27,3 +27,7 @@ class CertificateUnsoundError(RuntimeError):
         super().__init__(f"{message}: observed {observed!r} exceeds allowed {allowed!r}")
         self.observed = observed
         self.allowed = allowed
+
+
+class CertificateUnsoundError(SoundnessError):
+    """A decay certificate failed verification."""

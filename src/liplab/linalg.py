@@ -170,14 +170,20 @@ def orthonormal_columns(vectors, dim: int, rel_tol: float = 1e-10) -> np.ndarray
     return u[:, :rank]
 
 
-def write_matrix(path, m) -> None:
-    """Write a matrix in the text format: 'rows cols' header, one row per line."""
+def matrix_text(m) -> str:
+    """A matrix in the text format: 'rows cols' header, one row per line."""
     mat = as_matrix(m)
     lines = [f"{mat.shape[0]} {mat.shape[1]}"]
     for row in mat:
         lines.append(" ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_matrix(path, m) -> None:
+    """Write a matrix in the text format of matrix_text."""
+    text = matrix_text(m)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def read_matrix(path) -> np.ndarray:

@@ -6,21 +6,28 @@ operator integral) compares to the matching input norm, per instance and as
 per-dimension maxima.  Bounded ratios across dimensions are the empirical
 signature of the dimension-free inequalities this package studies.  Identical
 configs (including the seed) produce byte-identical reports.
+
+run_sweep is the only loop.  An experiment is one instance function
+(rng, f, dim, cfg) -> (row, spectrum) plus one _EXPERIMENTS entry naming its
+columns, its summary and its size label.  A broken soundness guard raises
+SoundnessError, which the CLI turns into exit 3.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .certificate import build_certificate, verify_certificate
-from .doi import bs_residual_bound, check_birman_solomyak, doi_apply
-from .errors import ValidationError
-from .functions import LipschitzFunction, apply_function, function_from_spec
-from .ideals import (schatten_norm, singular_value_at, s_Omega_norm, s_omega_norm,
-                     weak_s1_quasinorm)
+from .doi import birman_solomyak_delta, bs_residual_bound, doi_apply, rank_one_perturb
+from .errors import SoundnessError, ValidationError
+from .functions import LipschitzFunction, function_from_spec
+from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
+                     s_omega_norm, weak_s1_quasinorm)
 from .linalg import eigh_symmetric, frobenius
 from .measures import materialize
 from .rng import (make_rng, random_kernel_operator, random_prescribed_spectrum,
@@ -52,28 +59,39 @@ class SweepConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENTS}")
-        dims = tuple(int(d) for d in self.dimensions)
-        if not dims or any(d < 2 for d in dims):
-            raise ValidationError("dimensions must be a nonempty list of integers >= 2")
-        object.__setattr__(self, "dimensions", dims)
-        if int(self.ensemble) < 1:
+        object.__setattr__(self, "dimensions", _integers("dimensions", self.dimensions, 2))
+        object.__setattr__(self, "n_values", _integers("n_values", self.n_values, 1))
+        object.__setattr__(self, "ensemble", _convert(int, "ensemble", self.ensemble))
+        if self.ensemble < 1:
             raise ValidationError("ensemble size must be >= 1")
-        object.__setattr__(self, "ensemble", int(self.ensemble))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _convert(int, "seed", self.seed))
         function_from_spec(self.function)  # validate early
         if self.experiment == "interp":
-            if self.p is None or float(self.p) < 1.0:
-                raise ValidationError("interp sweep requires p >= 1")
-            if self.epsilon is None or float(self.epsilon) <= 0.0:
-                raise ValidationError("interp sweep requires epsilon > 0")
-            object.__setattr__(self, "p", float(self.p))
-            object.__setattr__(self, "epsilon", float(self.epsilon))
-        nvals = tuple(int(n) for n in self.n_values)
-        if not nvals or any(n < 1 for n in nvals):
-            raise ValidationError("n_values must be positive integers")
-        object.__setattr__(self, "n_values", nvals)
+            object.__setattr__(self, "p", _convert(float, "p", self.p))
+            object.__setattr__(self, "epsilon", _convert(float, "epsilon", self.epsilon))
+            if not (self.p >= 1.0 and self.epsilon > 0.0):
+                raise ValidationError("interp sweep requires p >= 1 and epsilon > 0")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be 'csv' or 'json', got {self.format!r}")
+
+
+def _convert(kind, name: str, value):
+    """kind(value), or a ValidationError naming the config field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}") from exc
+
+
+def _integers(name: str, values, least: int) -> tuple:
+    """values as a nonempty tuple of integers >= least, or a ValidationError."""
+    ints = ()
+    if isinstance(values, (list, tuple)):
+        ints = tuple(_convert(int, name, v) for v in values)
+    if not ints or min(ints) < least:
+        raise ValidationError(f"{name} must be a nonempty list of integers >= {least}, "
+                              f"got {values!r}")
+    return ints
 
 
 def load_config(source) -> SweepConfig:
@@ -88,6 +106,8 @@ def load_config(source) -> SweepConfig:
             raise ValidationError(f"cannot read config {source}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {source} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"config {source} must hold a JSON object")
     known = {f.name for f in SweepConfig.__dataclass_fields__.values()}
     unknown = set(data) - known
     if unknown:
@@ -95,10 +115,6 @@ def load_config(source) -> SweepConfig:
     missing = {"experiment", "dimensions", "ensemble", "seed", "function"} - set(data)
     if missing:
         raise ValidationError(f"config is missing required fields: {sorted(missing)}")
-    if "dimensions" in data:
-        data["dimensions"] = tuple(data["dimensions"])
-    if "n_values" in data:
-        data["n_values"] = tuple(data["n_values"])
     return SweepConfig(**data)
 
 
@@ -111,229 +127,130 @@ class ExperimentReport:
     curves: list = field(default_factory=list)
 
 
-def _guard_s2(q: np.ndarray, t: np.ndarray, lip: float) -> None:
-    # Entrywise Schur bound: must hold on every instance or the DOI is wrong.
+def _doi_spectrum(f: LipschitzFunction, d1, d2, t: np.ndarray) -> np.ndarray:
+    """Singular values of doi(f, T), once the entrywise S2 Schur bound has held."""
+    q = doi_apply(f, d1, d2, t)
+    # The bound must hold on every instance or the DOI is wrong.
     lhs = frobenius(q)
-    rhs = lip * frobenius(t) * (1.0 + S2_SLACK)
+    rhs = f.lip * frobenius(t) * (1.0 + S2_SLACK)
     if lhs > rhs:
-        raise RuntimeError(f"S2 Schur-multiplier bound violated: {lhs!r} > {rhs!r}")
+        raise SoundnessError("S2 Schur-multiplier bound violated", lhs, rhs)
+    return singular_spectrum(q)
 
 
-def _spectrum(m: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(m, compute_uv=False)
+def _ratio(value: float, denom: float) -> float:
+    return 0.0 if denom == 0.0 else value / denom
 
 
-def run_rank_one_sweep(cfg: SweepConfig) -> ExperimentReport:
+def _rank_one(rng, f: LipschitzFunction, dim: int, cfg: SweepConfig):
     """Rank-one perturbations: weak quasinorm of f(A) - f(B) against lip * ||A - B||.
 
     Each instance also runs a DOI variant with independent spectral measures
     and a random rank-one T.  The Birman-Solomyak residual is checked before
     any functional is reported.
     """
-    f = function_from_spec(cfg.function)
-    columns = ["instance", "dimension", "function", "lip", "perturbation", "weak_s1",
-               "rho", "doi_weak_s1", "rho_doi", "bs_residual", "degenerate"]
-    rows = []
-    curves = []
-    for dim in cfg.dimensions:
-        for idx in range(cfg.ensemble):
-            rng = make_rng(cfg.seed, _TAG[cfg.experiment], dim, idx)
-            a = random_symmetric(rng, dim)
-            u = random_unit(rng, dim)
-            c = 0.5 + rng.uniform(0.0, 1.0)
-            b = a + c * np.outer(u, u)
-            b = 0.5 * (b + b.T)
-            dec_a = eigh_symmetric(a)
-            dec_b = eigh_symmetric(b)
-            residual = check_birman_solomyak(f, a, b, dec_a=dec_a, dec_b=dec_b)
-            # The contract scales with lip; at lip = 0 both sides are zero in
-            # exact arithmetic and the residual is pure frame rounding.
-            if f.lip > 0.0 and residual > bs_residual_bound(a, b, f.lip):
-                raise RuntimeError(f"Birman-Solomyak residual {residual!r} out of contract")
-            delta = apply_function(f, dec_a) - apply_function(f, dec_b)
-            spec = _spectrum(delta)
-            denom = f.lip * abs(c)
-            degenerate = denom == 0.0
-            rho = 0.0 if degenerate else weak_s1_quasinorm(spec) / denom
+    a = random_symmetric(rng, dim)
+    u = random_unit(rng, dim)
+    c = 0.5 + rng.uniform(0.0, 1.0)
+    b = rank_one_perturb(a, u, c)
+    delta, residual = birman_solomyak_delta(f, a, b)
+    # The contract scales with lip; at lip = 0 both sides are zero in exact
+    # arithmetic and the residual is pure frame rounding.
+    bound = bs_residual_bound(a, b, f.lip)
+    if f.lip > 0.0 and residual > bound:
+        raise SoundnessError("Birman-Solomyak residual out of contract", residual, bound)
+    spec = singular_spectrum(delta)
+    weak = weak_s1_quasinorm(spec)
+    denom = f.lip * abs(c)
 
-            t = (0.5 + rng.uniform(0.0, 1.0)) * np.outer(random_unit(rng, dim),
-                                                         random_unit(rng, dim))
-            d1 = eigh_symmetric(random_symmetric(rng, dim))
-            d2 = eigh_symmetric(random_symmetric(rng, dim))
-            q = doi_apply(f, d1, d2, t)
-            _guard_s2(q, t, f.lip)
-            t_norm = float(_spectrum(t)[0])
-            doi_spec = _spectrum(q)
-            rho_doi = 0.0 if f.lip * t_norm == 0.0 else weak_s1_quasinorm(doi_spec) / (f.lip * t_norm)
-
-            rows.append({
-                "instance": idx, "dimension": dim, "function": f.name, "lip": f.lip,
-                "perturbation": c, "weak_s1": weak_s1_quasinorm(spec), "rho": rho,
-                "doi_weak_s1": weak_s1_quasinorm(doi_spec), "rho_doi": rho_doi,
-                "bs_residual": residual, "degenerate": int(degenerate),
-            })
-            if cfg.emit_curves and idx == 0:
-                curves.extend(_decay_curve(f"dim{dim}", spec))
-    summary = _ratio_summary(rows, cfg.dimensions, ("rho", "rho_doi"))
-    return ExperimentReport("rank_one", columns, rows, summary, curves)
+    t = (0.5 + rng.uniform(0.0, 1.0)) * np.outer(random_unit(rng, dim), random_unit(rng, dim))
+    d1 = eigh_symmetric(random_symmetric(rng, dim))
+    d2 = eigh_symmetric(random_symmetric(rng, dim))
+    doi_weak = weak_s1_quasinorm(_doi_spectrum(f, d1, d2, t))
+    row = {
+        "lip": f.lip, "perturbation": c, "weak_s1": weak, "rho": _ratio(weak, denom),
+        "doi_weak_s1": doi_weak,
+        "rho_doi": _ratio(doi_weak, f.lip * float(singular_spectrum(t)[0])),
+        "bs_residual": residual, "degenerate": int(denom == 0.0),
+    }
+    return row, spec
 
 
-def _doi_ensemble_instance(cfg: SweepConfig, f: LipschitzFunction, dim: int, idx: int):
-    """Common machinery for the T-based sweeps: (Q, prescribed sigma, T)."""
-    rng = make_rng(cfg.seed, _TAG[cfg.experiment], dim, idx)
+def _prescribed_doi(rng, f: LipschitzFunction, dim: int):
+    """Common machinery for the T-based sweeps: (spectrum of doi(f, T), sigma of T)."""
     d1 = eigh_symmetric(random_symmetric(rng, dim))
     d2 = eigh_symmetric(random_symmetric(rng, dim))
     t, sigma = random_prescribed_spectrum(rng, dim)
-    q = doi_apply(f, d1, d2, t)
-    _guard_s2(q, t, f.lip)
-    return q, sigma, t
+    return _doi_spectrum(f, d1, d2, t), sigma
 
 
-def run_trace_class_sweep(cfg: SweepConfig) -> ExperimentReport:
+def _trace_class(rng, f: LipschitzFunction, dim: int, cfg: SweepConfig):
     """S_Omega norm of doi(f, T) against lip * ||T||_S1 for trace-normalized T."""
-    f = function_from_spec(cfg.function)
-    columns = ["instance", "dimension", "function", "lip", "t_trace_norm", "s_Omega", "rho"]
-    rows = []
-    curves = []
-    for dim in cfg.dimensions:
-        for idx in range(cfg.ensemble):
-            q, sigma, _ = _doi_ensemble_instance(cfg, f, dim, idx)
-            trace = float(np.sum(sigma))
-            spec = _spectrum(q)
-            value = s_Omega_norm(spec)
-            denom = f.lip * trace
-            rows.append({
-                "instance": idx, "dimension": dim, "function": f.name, "lip": f.lip,
-                "t_trace_norm": trace, "s_Omega": value,
-                "rho": 0.0 if denom == 0.0 else value / denom,
-            })
-            if cfg.emit_curves and idx == 0:
-                curves.extend(_decay_curve(f"dim{dim}", spec))
-    summary = _ratio_summary(rows, cfg.dimensions, ("rho",))
-    return ExperimentReport("trace_class", columns, rows, summary, curves)
+    spec, sigma = _prescribed_doi(rng, f, dim)
+    trace = float(np.sum(sigma))
+    value = s_Omega_norm(spec)
+    row = {"lip": f.lip, "t_trace_norm": trace, "s_Omega": value,
+           "rho": _ratio(value, f.lip * trace)}
+    return row, spec
 
 
-def run_matsaev_sweep(cfg: SweepConfig) -> ExperimentReport:
+def _matsaev(rng, f: LipschitzFunction, dim: int, cfg: SweepConfig):
     """Operator norm of doi(f, T) against lip * ||T||_{S_omega}."""
-    f = function_from_spec(cfg.function)
-    columns = ["instance", "dimension", "function", "lip", "t_matsaev_norm", "op_norm", "rho"]
-    rows = []
-    curves = []
-    for dim in cfg.dimensions:
-        for idx in range(cfg.ensemble):
-            q, sigma, _ = _doi_ensemble_instance(cfg, f, dim, idx)
-            matsaev = s_omega_norm(sigma)
-            spec = _spectrum(q)
-            top = float(spec[0]) if spec.size else 0.0
-            denom = f.lip * matsaev
-            rows.append({
-                "instance": idx, "dimension": dim, "function": f.name, "lip": f.lip,
-                "t_matsaev_norm": matsaev, "op_norm": top,
-                "rho": 0.0 if denom == 0.0 else top / denom,
-            })
-            if cfg.emit_curves and idx == 0:
-                curves.extend(_decay_curve(f"dim{dim}", spec))
-    summary = _ratio_summary(rows, cfg.dimensions, ("rho",))
-    return ExperimentReport("matsaev", columns, rows, summary, curves)
+    spec, sigma = _prescribed_doi(rng, f, dim)
+    matsaev = s_omega_norm(sigma)
+    top = float(spec[0])
+    row = {"lip": f.lip, "t_matsaev_norm": matsaev, "op_norm": top,
+           "rho": _ratio(top, f.lip * matsaev)}
+    return row, spec
 
 
-def run_interp_sweep(cfg: SweepConfig) -> ExperimentReport:
+def _interp(rng, f: LipschitzFunction, dim: int, cfg: SweepConfig):
     """Schatten p+epsilon norm of doi(f, T) against lip * ||T||_p.
 
     Also logs the p-to-p ratio, which is allowed to grow with dimension; the
     p-to-p+epsilon ratio is the one expected to stay bounded.
     """
-    f = function_from_spec(cfg.function)
+    spec, sigma = _prescribed_doi(rng, f, dim)
     p, eps = cfg.p, cfg.epsilon
-    columns = ["instance", "dimension", "function", "lip", "p", "epsilon",
-               "t_norm_p", "doi_norm_p_eps", "rho", "rho_p_to_p"]
-    rows = []
-    curves = []
-    for dim in cfg.dimensions:
-        for idx in range(cfg.ensemble):
-            q, sigma, _ = _doi_ensemble_instance(cfg, f, dim, idx)
-            spec = _spectrum(q)
-            t_p = schatten_norm(sigma, p)
-            q_pe = schatten_norm(spec, p + eps)
-            q_p = schatten_norm(spec, p)
-            denom = f.lip * t_p
-            rows.append({
-                "instance": idx, "dimension": dim, "function": f.name, "lip": f.lip,
-                "p": p, "epsilon": eps, "t_norm_p": t_p, "doi_norm_p_eps": q_pe,
-                "rho": 0.0 if denom == 0.0 else q_pe / denom,
-                "rho_p_to_p": 0.0 if denom == 0.0 else q_p / denom,
-            })
-            if cfg.emit_curves and idx == 0:
-                curves.extend(_decay_curve(f"dim{dim}", spec))
-    summary = _ratio_summary(rows, cfg.dimensions, ("rho", "rho_p_to_p"))
-    return ExperimentReport("interp", columns, rows, summary, curves)
+    t_p = schatten_norm(sigma, p)
+    q_pe = schatten_norm(spec, p + eps)
+    denom = f.lip * t_p
+    row = {"lip": f.lip, "p": p, "epsilon": eps, "t_norm_p": t_p,
+           "doi_norm_p_eps": q_pe, "rho": _ratio(q_pe, denom),
+           "rho_p_to_p": _ratio(schatten_norm(spec, p), denom)}
+    return row, spec
 
 
-def run_certificate_sweep(cfg: SweepConfig) -> ExperimentReport:
-    """Build and verify decay certificates on random kernel operators.
+def _certificate(rng, f: LipschitzFunction, atoms: int, cfg: SweepConfig):
+    """Build and verify decay certificates on a random kernel operator.
 
-    cfg.dimensions is the atom count per measure side.  For each instance and
-    each n in cfg.n_values a certificate is built and verified; the fitted
-    constants max_n(n * bound) and max_n(n * s_{7n}) are reported per instance.
-    An unsound certificate aborts the sweep (it signals an implementation bug).
+    The size is the atom count per measure side.  For each n in cfg.n_values a
+    certificate is built and verified; the fitted constants max_n(n * bound)
+    and max_n(n * s_{7n}) are reported.  An unsound certificate aborts the
+    sweep (it signals an implementation bug).
     """
-    f = function_from_spec(cfg.function)
-    columns = ["instance", "atoms", "function", "truncation_radius", "weak_ratio",
-               "fitted_K_bound", "fitted_K_direct"]
+    kop = random_kernel_operator(rng, f, atoms, atoms)
+    spectrum = singular_spectrum(materialize(kop))
+    row = {}
+    k_bound = k_direct = 0.0
     for n in cfg.n_values:
-        columns += [f"rank_n{n}", f"bound_n{n}", f"analytic_n{n}", f"s_r_n{n}", f"s7n_n{n}"]
-    rows = []
-    curves = []
-    fitted_bound = []
-    fitted_direct = []
-    max_weak = 0.0
-    for atoms in cfg.dimensions:
-        for idx in range(cfg.ensemble):
-            rng = make_rng(cfg.seed, _TAG[cfg.experiment], atoms, idx)
-            kop = random_kernel_operator(rng, f, atoms, atoms)
-            spectrum = _spectrum(materialize(kop))
-            row = {"instance": idx, "atoms": atoms, "function": f.name}
-            k_bound = 0.0
-            k_direct = 0.0
-            weak_ratio = 0.0
-            for n in cfg.n_values:
-                cert = build_certificate(kop, n)
-                report = verify_certificate(kop, cert, spectrum=spectrum)
-                s7n = singular_value_at(spectrum, 7 * n)
-                k_bound = max(k_bound, n * cert.empirical_bound)
-                k_direct = max(k_direct, n * s7n)
-                weak_ratio = report.weak_ratio
-                row["truncation_radius"] = cert.truncation_radius
-                row[f"rank_n{n}"] = cert.defect_rank
-                row[f"bound_n{n}"] = cert.empirical_bound
-                row[f"analytic_n{n}"] = cert.analytic_bound
-                row[f"s_r_n{n}"] = report.singular_value
-                row[f"s7n_n{n}"] = s7n
-            row["weak_ratio"] = weak_ratio
-            row["fitted_K_bound"] = k_bound
-            row["fitted_K_direct"] = k_direct
-            rows.append(row)
-            fitted_bound.append(k_bound)
-            fitted_direct.append(k_direct)
-            max_weak = max(max_weak, weak_ratio)
-            if cfg.emit_curves and idx == 0:
-                curves.extend(_decay_curve(f"atoms{atoms}", spectrum))
-    summary = {
-        "fitted_K_bound_max": max(fitted_bound) if fitted_bound else 0.0,
-        "fitted_K_direct_max": max(fitted_direct) if fitted_direct else 0.0,
-        "max_weak_ratio": max_weak,
-    }
-    return ExperimentReport("certificate", columns, rows, summary, curves)
+        cert = build_certificate(kop, n)
+        report = verify_certificate(kop, cert, spectrum=spectrum)
+        s7n = singular_value_at(spectrum, 7 * n)
+        k_bound = max(k_bound, n * cert.empirical_bound)
+        k_direct = max(k_direct, n * s7n)
+        row[f"rank_n{n}"] = cert.defect_rank
+        row[f"bound_n{n}"] = cert.empirical_bound
+        row[f"analytic_n{n}"] = cert.analytic_bound
+        row[f"s_r_n{n}"] = report.singular_value
+        row[f"s7n_n{n}"] = s7n
+    # The truncation radius and the weak ratio are reported for the last n.
+    row.update(truncation_radius=cert.truncation_radius, weak_ratio=report.weak_ratio,
+               fitted_K_bound=k_bound, fitted_K_direct=k_direct)
+    return row, spectrum
 
 
-def _decay_curve(label: str, spectrum: np.ndarray) -> list:
-    return [
-        {"label": label, "j": j, "s_j": float(s), "weighted": float((1 + j) * s)}
-        for j, s in enumerate(np.asarray(spectrum, dtype=float))
-    ]
-
-
-def _ratio_summary(rows: list, dimensions, keys) -> dict:
+def _max_per_dimension(rows: list, dimensions, keys) -> dict:
     per_dim = {}
     for dim in dimensions:
         sub = [r for r in rows if r["dimension"] == dim]
@@ -342,31 +259,87 @@ def _ratio_summary(rows: list, dimensions, keys) -> dict:
     return {"max_per_dimension": per_dim, "fitted_constant": fitted}
 
 
-_RUNNERS = {
-    "rank_one": run_rank_one_sweep,
-    "trace_class": run_trace_class_sweep,
-    "matsaev": run_matsaev_sweep,
-    "interp": run_interp_sweep,
-    "certificate": run_certificate_sweep,
+def _certificate_summary(rows: list, atoms) -> dict:
+    return {
+        "fitted_K_bound_max": max((r["fitted_K_bound"] for r in rows), default=0.0),
+        "fitted_K_direct_max": max((r["fitted_K_direct"] for r in rows), default=0.0),
+        "max_weak_ratio": max((r["weak_ratio"] for r in rows), default=0.0),
+    }
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What one experiment adds to the shared loop in run_sweep."""
+
+    instance: Callable  # (rng, f, size, cfg) -> (row of the own columns, spectrum)
+    columns: tuple
+    summary: Callable  # (rows, sizes) -> dict
+    size: str = "dimension"
+    curve_label: str = "dim"
+    per_n: tuple = ()  # column prefixes repeated for each n in cfg.n_values
+
+
+_EXPERIMENTS = {
+    "rank_one": _Experiment(
+        _rank_one, ("lip", "perturbation", "weak_s1", "rho", "doi_weak_s1", "rho_doi",
+                    "bs_residual", "degenerate"),
+        partial(_max_per_dimension, keys=("rho", "rho_doi"))),
+    "trace_class": _Experiment(
+        _trace_class, ("lip", "t_trace_norm", "s_Omega", "rho"),
+        partial(_max_per_dimension, keys=("rho",))),
+    "matsaev": _Experiment(
+        _matsaev, ("lip", "t_matsaev_norm", "op_norm", "rho"),
+        partial(_max_per_dimension, keys=("rho",))),
+    "interp": _Experiment(
+        _interp, ("lip", "p", "epsilon", "t_norm_p", "doi_norm_p_eps", "rho", "rho_p_to_p"),
+        partial(_max_per_dimension, keys=("rho", "rho_p_to_p"))),
+    "certificate": _Experiment(
+        _certificate, ("truncation_radius", "weak_ratio", "fitted_K_bound", "fitted_K_direct"),
+        _certificate_summary, size="atoms", curve_label="atoms",
+        per_n=("rank_n", "bound_n", "analytic_n", "s_r_n", "s7n_n")),
 }
 
 
 def run_sweep(cfg: SweepConfig) -> ExperimentReport:
+    """Run cfg's experiment on every (size, instance) pair, sizes outermost.
+
+    Each pair draws from its own Philox stream, so no row depends on another.
+    """
+    exp = _EXPERIMENTS[cfg.experiment]
+    f = function_from_spec(cfg.function)
+    rows, curves = [], []
+    for size in cfg.dimensions:
+        for idx in range(cfg.ensemble):
+            row, spectrum = exp.instance(make_rng(cfg.seed, _TAG[cfg.experiment], size, idx),
+                                         f, size, cfg)
+            rows.append({"instance": idx, exp.size: size, "function": f.name, **row})
+            if cfg.emit_curves and idx == 0:
+                label = f"{exp.curve_label}{size}"
+                curves += [{"label": label, "j": j, "s_j": float(s), "weighted": float((1 + j) * s)}
+                           for j, s in enumerate(spectrum)]
     expected = cfg.ensemble * len(cfg.dimensions)
-    report = _RUNNERS[cfg.experiment](cfg)
-    if len(report.rows) != expected:
-        raise RuntimeError(f"report has {len(report.rows)} rows, expected {expected}")
-    return report
+    if len(rows) != expected:
+        raise RuntimeError(f"report has {len(rows)} rows, expected {expected}")
+    columns = (["instance", exp.size, "function", *exp.columns]
+               + [f"{prefix}{n}" for n in cfg.n_values for prefix in exp.per_n])
+    return ExperimentReport(cfg.experiment, columns, rows, exp.summary(rows, cfg.dimensions),
+                            curves)
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bool included: True -> "1"
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
     return str(v)
+
+
+def _write_csv(path, columns, rows) -> None:
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_format_value(row[c]) for c in columns))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def emit_report(report: ExperimentReport, path: str, format: str = "csv") -> None:
@@ -379,28 +352,13 @@ def emit_report(report: ExperimentReport, path: str, format: str = "csv") -> Non
         raise ValidationError(f"format must be 'csv' or 'json', got {format!r}")
     try:
         if format == "csv":
-            lines = [",".join(report.columns)]
-            for row in report.rows:
-                lines.append(",".join(_format_value(row[c]) for c in report.columns))
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write_csv(path, report.columns, report.rows)
             if report.curves:
-                curve_cols = ["label", "j", "s_j", "weighted"]
-                lines = [",".join(curve_cols)]
-                for row in report.curves:
-                    lines.append(",".join(_format_value(row[c]) for c in curve_cols))
-                with open(str(path) + ".curves.csv", "w") as fh:
-                    fh.write("\n".join(lines) + "\n")
+                _write_csv(str(path) + ".curves.csv", ["label", "j", "s_j", "weighted"],
+                           report.curves)
         else:
-            payload = {
-                "experiment": report.experiment,
-                "columns": report.columns,
-                "rows": report.rows,
-                "summary": report.summary,
-                "curves": report.curves,
-            }
             with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
+                json.dump(asdict(report), fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except OSError as exc:
         raise ValidationError(f"cannot write report to {path}: {exc}") from exc

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from liplab import sweeps
 from liplab.cli import main
 from liplab.functions import absolute_value
 from liplab.linalg import read_matrix, write_matrix
@@ -121,6 +122,24 @@ def test_sweep_bad_config(tmp_path):
     cfg_path.write_text(json.dumps({"experiment": "rank_one"}))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
+    cfg_path.write_text(json.dumps({"experiment": "rank_one", "dimensions": 5, "ensemble": 1,
+                                    "seed": 0, "function": {"kind": "abs"}}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("experiment,guard,value", [
+    ("trace_class", "S2_SLACK", -1.0),
+    ("rank_one", "bs_residual_bound", lambda a, b, lip: -1.0),
+])
+def test_sweep_soundness_failure_exits_3(tmp_path, monkeypatch, capsys, experiment, guard, value):
+    # Break one guard's allowance so a sound instance trips it.
+    monkeypatch.setattr(sweeps, guard, value)
+    cfg = {"experiment": experiment, "dimensions": [4], "ensemble": 1, "seed": 0,
+           "function": {"kind": "abs"}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith("unsound: ")
 
 
 def test_sweep_summary_to_stdout(tmp_path, capsys):

@@ -50,6 +50,10 @@ def test_config_validation():
         load_config({"experiment": "rank_one"})
     with pytest.raises(ValidationError):
         load_config(dict(BASE, bogus_field=1))
+    for bad in ({"dimensions": 5}, {"n_values": 4}, {"ensemble": "x"}, {"seed": "abc"},
+                {"dimensions": [4, None]}, {"experiment": "interp", "p": "x", "epsilon": 0.5}):
+        with pytest.raises(ValidationError):
+            cfg_with(**bad)
 
 
 def test_config_from_file(tmp_path):
