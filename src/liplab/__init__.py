@@ -7,10 +7,10 @@ kernel operators on discrete measures.
 """
 
 from .certificate import (IntervalPartition, WeakDecayCertificate, build_certificate,
-                          diag_block_hs, doubling_truncation_radius, flat_bound,
-                          heavy_atoms, mask, normalize, partition, read_certificate,
-                          split_blocks, taylor_defects, truncate, truncation_radius,
-                          truncation_tail_hs, verify_certificate, write_certificate)
+                          build_certificates, flat_bound, heavy_atoms, mask,
+                          normalize, partition, read_certificate, split_blocks,
+                          taylor_defects, truncation_radius, verify_certificate,
+                          write_certificate)
 from .doi import check_birman_solomyak, doi_apply, f_delta, rank_one_perturb
 from .errors import (CertificateUnsoundError, ConvergenceError, EvaluationError,
                      PartitionInfeasibleError, SoundnessError, ValidationError)
@@ -20,8 +20,7 @@ from .functions import (LipschitzFunction, absolute_value, apply_function, clamp
                         loewner_matrix, piecewise_linear, shifted_absolute, smooth_ramp)
 from .ideals import (s_Omega_norm, s_omega_norm, schatten_norm, singular_spectrum,
                      singular_value_at, weak_s1_quasinorm)
-from .linalg import (SpectralDecomposition, complement_projector, eigh_symmetric,
-                     read_matrix, svd, write_matrix)
+from .linalg import SpectralDecomposition, eigh_symmetric, read_matrix, svd, write_matrix
 from .measures import (DiscreteMeasure, WeightedKernelOperator, discrete_measure,
                        kernel_operator, materialize, read_kernel_operator,
                        write_kernel_operator)

@@ -1,21 +1,23 @@
 """Weak-decay certificates for weighted divided-difference kernel operators.
 
 Given a kernel operator I_k with kernel phi(x) dd_f(x, y) psi(y) on discrete
-measures, build_certificate(kop, n) runs a fully constructive pipeline:
+measures, build_certificates(kop, n_values) materializes its matrix M once and
+runs a fully constructive pipeline for each n:
 
-  1. normalize weights and function (||phi|| = ||psi|| = lip = 1);
-  2. truncate to a window [-N, N] whose discarded block has small HS norm
-     (exactly zero for compactly supported discrete measures);
-  3. remove "heavy" atoms carrying weighted mass >= 1/n on either side
-     (at most n per side);
-  4. split the window into at most n intervals, each of combined weight
-     <= 4/n (greedy left-to-right sweep);
-  5. for off-diagonal interval pairs, project out two defect vectors per
+  1. normalize weights and function (||phi|| = ||psi|| = lip = 1); the
+     normalized matrix is M divided by the removed norm product;
+  2. remove "heavy" atoms carrying weighted mass >= 1/n on either side
+     (at most n per side) by zeroing their rows and columns;
+  3. split the support window [-N, N] into at most n intervals, each of
+     combined weight <= 4/n (greedy left-to-right sweep);
+  4. for off-diagonal interval pairs, project out two defect vectors per
      interval (the weighted indicator and the weighted-f indicator), which
      cancels the first-order term of the kernel expanded around interval
      centers and leaves a corrected kernel with entrywise bound
-     short/(short + dist);
-  6. measure the Hilbert-Schmidt norm of what remains.
+     short/(short + dist).  The defects of an interval live on its atoms, a
+     contiguous slice of the sorted atoms, so they are orthonormalized
+     interval by interval and each projection acts within one interval;
+  5. measure the Hilbert-Schmidt norm of what remains, row block by row block.
 
 The result is a pair (r, b) with r <= 7n and s_r(I_k) <= b, verified
 independently by a full SVD in verify_certificate.  All reported bounds are
@@ -27,13 +29,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CertificateUnsoundError, PartitionInfeasibleError, ValidationError
+from .errors import (CertificateUnsoundError, PartitionInfeasibleError, ValidationError,
+                     checked)
 from .ideals import singular_value_at, weak_s1_quasinorm
-from .linalg import frobenius, orthonormal_columns
-from .measures import DiscreteMeasure, WeightedKernelOperator, materialize
+from .measures import DiscreteMeasure, WeightedKernelOperator, materialize, row_blocks
 
 # Dimension-free constant for the weak quasinorm check in verify_certificate.
 # The construction chain above certifies roughly 8 * (1 + 4 + 4 * sqrt(5)) ~ 110;
@@ -68,47 +71,11 @@ def normalize(kop: WeightedKernelOperator) -> tuple[WeightedKernelOperator, floa
     return scaled, a * b * lip
 
 
-def truncation_tail_hs(kop: WeightedKernelOperator, radius: float) -> float:
-    """HS norm of the kernel block discarded by restricting to [-radius, radius]."""
-    m = materialize(kop)
-    inside_x = np.abs(kop.mu.positions) <= radius
-    inside_y = np.abs(kop.nu.positions) <= radius
-    keep = inside_x[:, None] & inside_y[None, :]
-    return float(np.sqrt(np.sum(np.where(keep, 0.0, m) ** 2)))
-
-
 def truncation_radius(kop: WeightedKernelOperator, n: int) -> float:
-    """Window half-width N with discarded HS mass below 1/sqrt(n).
-
-    For compactly supported discrete measures the support radius always
-    qualifies with discarded mass exactly zero, and that is what is returned;
-    doubling_truncation_radius is the search variant used by stress tests that
-    deliberately cut support.
-    """
+    """Half-width N of the window [-N, N] that the partition covers: the support radius."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     return kop.support_radius
-
-
-def doubling_truncation_radius(kop: WeightedKernelOperator, n: int, start: float = 1.0) -> float:
-    """Smallest radius from the doubling search start, 2*start, ... with tail < 1/sqrt(n)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if start <= 0:
-        raise ValidationError("start radius must be positive")
-    cap = kop.support_radius
-    target = 1.0 / math.sqrt(n)
-    radius = float(start)
-    while radius < cap and truncation_tail_hs(kop, radius) >= target:
-        radius *= 2.0
-    return min(radius, cap)
-
-
-def truncate(kop: WeightedKernelOperator, radius: float) -> WeightedKernelOperator:
-    """Zero the weights of all atoms outside [-radius, radius] (closed window)."""
-    phi = np.where(np.abs(kop.mu.positions) <= radius, kop.phi, 0.0)
-    psi = np.where(np.abs(kop.nu.positions) <= radius, kop.psi, 0.0)
-    return kop.with_weights(phi, psi)
 
 
 def heavy_atoms(measure: DiscreteMeasure, weights, n: int) -> np.ndarray:
@@ -185,10 +152,6 @@ class IntervalPartition:
         return np.diff(self.edges)
 
     @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    @property
     def combined_weights(self) -> np.ndarray:
         return self.phi_weights + self.psi_weights
 
@@ -200,43 +163,34 @@ class IntervalPartition:
 
     def distance(self, i: int, j: int) -> float:
         """Distance between intervals i and j (0 for adjacent or identical)."""
-        if i == j:
-            return 0.0
-        a, b = self.edges[i], self.edges[i + 1]
-        c, d = self.edges[j], self.edges[j + 1]
-        if b <= c:
-            return float(c - b)
-        if d <= a:
-            return float(a - d)
-        return 0.0
+        e = self.edges
+        return float(max(0.0, e[j] - e[i + 1], e[i] - e[j + 1]))
 
 
 def partition(kop: WeightedKernelOperator, n: int, radius: float) -> IntervalPartition:
     """Greedy left-to-right split of [-radius, radius] into <= n intervals.
 
-    Sweeping atom positions in order, an interval is closed just before adding
-    the next position would push its combined weight above 4/n.  Every closed
-    interval then carries weight > 2/n (a single position carries < 2/n once
-    heavy atoms are masked), which forces the interval count <= n.  Raises
+    radius must cover the support of both measures.  Sweeping atom positions
+    in order, an interval is closed just before adding the next position would
+    push its combined weight above 4/n.  Every closed interval then carries
+    weight > 2/n (a single position carries < 2/n once heavy atoms are
+    masked), which forces the interval count <= n.  Raises
     PartitionInfeasibleError if a single position exceeds the cap, which can
     only happen when masking was skipped.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     cap = 4.0 / n
-    in_x = np.abs(kop.mu.positions) <= radius
-    in_y = np.abs(kop.nu.positions) <= radius
-    contributions: dict[float, float] = {}
-    for pos, w, m in zip(kop.mu.positions[in_x], kop.phi[in_x], kop.mu.masses[in_x]):
-        contributions[pos] = contributions.get(pos, 0.0) + w * w * m
-    for pos, w, m in zip(kop.nu.positions[in_y], kop.psi[in_y], kop.nu.masses[in_y]):
-        contributions[pos] = contributions.get(pos, 0.0) + w * w * m
+    phi_mass = kop.phi ** 2 * kop.mu.masses
+    psi_mass = kop.psi ** 2 * kop.nu.masses
+    points, where = np.unique(np.r_[kop.mu.positions, kop.nu.positions], return_inverse=True)
+    contributions = np.zeros(points.size)
+    np.add.at(contributions, where, np.r_[phi_mass, psi_mass])
 
     edges = [-float(radius)]
     acc = 0.0
     occupied = False
-    for pos in sorted(contributions):
-        w = contributions[pos]
+    for pos, w in zip(points.tolist(), contributions.tolist()):
         if w > cap:
             raise PartitionInfeasibleError(
                 f"single position at {pos!r} carries weight {w!r} > 4/n = {cap!r}; "
@@ -249,57 +203,49 @@ def partition(kop: WeightedKernelOperator, n: int, radius: float) -> IntervalPar
         occupied = True
     edges.append(float(radius))
 
-    part_edges = np.asarray(edges)
-    count = part_edges.size - 1
-    pw = np.zeros(count)
-    qw = np.zeros(count)
-    # Bin the per-side weights into the final intervals.
-    idx = np.searchsorted(part_edges, kop.mu.positions[in_x], side="right") - 1
-    np.add.at(pw, np.clip(idx, 0, count - 1),
-              kop.phi[in_x] ** 2 * kop.mu.masses[in_x])
-    idy = np.searchsorted(part_edges, kop.nu.positions[in_y], side="right") - 1
-    np.add.at(qw, np.clip(idy, 0, count - 1),
-              kop.psi[in_y] ** 2 * kop.nu.masses[in_y])
-    return IntervalPartition(part_edges, pw, qw, n)
+    count = len(edges) - 1
+    # Bin the per-side weights into the final intervals (last one closed).
+    bins = [np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
+            for x in (kop.mu.positions, kop.nu.positions)]
+    return IntervalPartition(np.asarray(edges),
+                             np.bincount(bins[0], weights=phi_mass, minlength=count),
+                             np.bincount(bins[1], weights=psi_mass, minlength=count), n)
 
 
 def split_blocks(part: IntervalPartition):
-    """All ordered interval pairs in three disjoint families.
+    """All ordered interval pairs in three disjoint families, each in row-major order.
 
     diag: (i, i); upper: i != j with length(i) >= length(j) (ties included);
     lower: length(i) < length(j).  Together they cover every ordered pair
     exactly once.
     """
+    families = _families(part)
+    return tuple([tuple(pair) for pair in np.argwhere(families == family).tolist()]
+                 for family in range(3))
+
+
+def _families(part: IntervalPartition) -> np.ndarray:
+    """Family of each ordered interval pair (i, j): 0 diag, 1 upper, 2 lower."""
     lengths = part.lengths
-    diag = [(i, i) for i in range(part.count)]
-    upper = []
-    lower = []
-    for i in range(part.count):
-        for j in range(part.count):
-            if i == j:
-                continue
-            if lengths[i] >= lengths[j]:
-                upper.append((i, j))
-            else:
-                lower.append((i, j))
-    return diag, upper, lower
-
-
-def _interval_indices(part: IntervalPartition, kop: WeightedKernelOperator):
-    return part.interval_of(kop.mu.positions), part.interval_of(kop.nu.positions)
-
-
-def diag_block_hs(kop: WeightedKernelOperator, part: IntervalPartition) -> float:
-    """Exact HS norm of the diagonal interval blocks of the materialized operator."""
-    m = materialize(kop)
-    ix, iy = _interval_indices(part, kop)
-    on_diag = ix[:, None] == iy[None, :]
-    return float(np.sqrt(np.sum(np.where(on_diag, m, 0.0) ** 2)))
+    families = np.where(lengths[:, None] >= lengths[None, :], 1, 2).astype(np.int8)
+    np.fill_diagonal(families, 0)
+    return families
 
 
 def diag_weight_bound(part: IntervalPartition) -> float:
     """sqrt(sum_I phi_weight * psi_weight): the sharp product bound <= 2/sqrt(n)."""
     return float(np.sqrt(np.sum(part.phi_weights * part.psi_weights)))
+
+
+def _defect_inputs(kop: WeightedKernelOperator, side: str):
+    """Positions, weight * sqrt(mass) and f values of the atoms of one side."""
+    if side == "column":
+        positions, masses, weights = kop.nu.positions, kop.nu.masses, kop.psi
+    elif side == "row":
+        positions, masses, weights = kop.mu.positions, kop.mu.masses, kop.phi
+    else:
+        raise ValidationError(f"side must be 'column' or 'row', got {side!r}")
+    return positions, weights * np.sqrt(masses), np.asarray(kop.f(positions), dtype=float)
 
 
 def taylor_defects(part: IntervalPartition, kop: WeightedKernelOperator, side: str):
@@ -311,14 +257,7 @@ def taylor_defects(part: IntervalPartition, kop: WeightedKernelOperator, side: s
     vectors in L2(mu) coordinates.  Zero vectors (empty or fully masked
     intervals) are skipped, so at most 2 * count vectors are returned.
     """
-    if side == "column":
-        positions, masses, weights = kop.nu.positions, kop.nu.masses, kop.psi
-    elif side == "row":
-        positions, masses, weights = kop.mu.positions, kop.mu.masses, kop.phi
-    else:
-        raise ValidationError(f"side must be 'column' or 'row', got {side!r}")
-    base = weights * np.sqrt(masses)
-    fvals = np.asarray(kop.f(positions), dtype=float)
+    positions, base, fvals = _defect_inputs(kop, side)
     idx = part.interval_of(positions)
     out = []
     for interval in range(part.count):
@@ -340,63 +279,109 @@ def flat_bound(part: IntervalPartition) -> tuple[float, float]:
     with short the column-interval length for the upper family and the
     row-interval length for the lower family.
     """
-    lengths = part.lengths
-    _, upper, lower = split_blocks(part)
-
-    def family_sum(pairs, short_of):
-        total = 0.0
-        for i, j in pairs:
-            short = lengths[short_of(i, j)]
-            denom = short + part.distance(i, j)
-            if denom > 0.0:
-                total += (short / denom) ** 2
-        return total
-
+    lengths, left, right = part.lengths, part.edges[:-1], part.edges[1:]
+    families = _families(part)
+    distance = np.maximum(0.0, np.maximum(left[None, :] - right[:, None],
+                                          left[:, None] - right[None, :]))
+    short = np.where(families == 1, lengths[None, :], lengths[:, None])
+    denom = short + distance
+    ratio = np.divide(short, denom, out=np.zeros_like(denom), where=denom > 0.0)
     factor = 4.0 / part.n ** 2
-    up = math.sqrt(factor * family_sum(upper, lambda i, j: j))
-    low = math.sqrt(factor * family_sum(lower, lambda i, j: i))
-    return up, low
+    # Summed one pair at a time in row-major order, like a loop over split_blocks.
+    return tuple(math.sqrt(factor * sum((ratio[families == family] ** 2).tolist()))
+                 for family in (1, 2))
 
 
-def _correction_ratios(part: IntervalPartition, kop: WeightedKernelOperator):
-    """Entrywise Taylor correction factors for the upper and lower families.
+class _DefectBasis(NamedTuple):
+    """Kept defect directions of one side, interval by interval.
 
-    Upper blocks (row interval at least as long) are corrected by
-    (y - c(J)) / (x - c(J)) with J the column interval; lower blocks by
-    (x - c(I)) / (y - c(I)) with I the row interval.  Returns (upper_ratio,
-    lower_ratio, upper_mask, lower_mask, diag_mask).
+    Each occupied interval is one segment (a slice) of the sorted atoms; on it
+    the two rows of vectors hold the interval's kept directions or zeros.
     """
-    ix, iy = _interval_indices(part, kop)
-    lengths = part.lengths
-    centers = part.centers
-    x = kop.mu.positions[:, None]
-    y = kop.nu.positions[None, :]
-    li = lengths[ix][:, None]
-    lj = lengths[iy][None, :]
-    same = ix[:, None] == iy[None, :]
-    upper_mask = (~same) & (li >= lj)
-    lower_mask = (~same) & (li < lj)
 
-    cj = centers[iy][None, :]
-    ci = centers[ix][:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(upper_mask, (y - cj) / (x - cj), 0.0)
-        low = np.where(lower_mask, (x - ci) / (y - ci), 0.0)
-    return np.nan_to_num(up), np.nan_to_num(low), upper_mask, lower_mask, same
+    segments: list
+    segment: np.ndarray
+    vectors: np.ndarray
+    rank: int
 
 
-def upper_corrected_matrix(kop: WeightedKernelOperator, part: IntervalPartition) -> np.ndarray:
-    """The corrected kernel matrix on the upper block family (algebraic form)."""
-    m = materialize(kop)
-    up, _, _, _, _ = _correction_ratios(part, kop)
-    return m * up
+def _defect_basis(part: IntervalPartition, kop: WeightedKernelOperator, side: str) -> _DefectBasis:
+    """Orthonormal basis of the span of taylor_defects(part, kop, side).
+
+    Two-pass Gram-Schmidt with segment sums factors each interval's defects
+    as Q R with R 2 x 2.  One batched SVD of the R's gives the singular values
+    of all defects, cut below DEFECT_ANGLE_TOL times the largest as one SVD
+    of all defects would; a Gram matrix would square away that gap.
+    """
+    positions, base, fvals = _defect_inputs(kop, side)
+    idx = part.interval_of(positions)
+    first = np.r_[True, idx[1:] != idx[:-1]]
+    starts = np.flatnonzero(first)
+    segment = np.cumsum(first) - 1
+
+    def sums(x):
+        return np.add.reduceat(x, starts)
+
+    def normalized(x, norms):
+        inverse = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        return x * inverse[segment]
+
+    weighted = base * fvals
+    r11 = np.sqrt(sums(base * base))
+    q1 = normalized(base, r11)
+    r12 = sums(q1 * weighted)
+    rest = weighted - r12[segment] * q1
+    again = sums(q1 * rest)  # the second pass restores orthogonality lost to cancellation
+    rest -= again[segment] * q1
+    r22 = np.sqrt(sums(rest * rest))
+    r = np.zeros((starts.size, 2, 2))
+    r[:, 0, 0], r[:, 0, 1], r[:, 1, 1] = r11, r12 + again, r22
+    u, s, _ = np.linalg.svd(r)
+    kept = s > DEFECT_ANGLE_TOL * s.max()
+    u = u * kept[:, None, :]
+    vectors = q1 * u[segment, 0, :].T + normalized(rest, r22) * u[segment, 1, :].T
+    bounds = np.r_[starts, idx.size]
+    segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    return _DefectBasis(segments, segment, vectors, int(np.count_nonzero(kept)))
 
 
-def lower_corrected_matrix(kop: WeightedKernelOperator, part: IntervalPartition) -> np.ndarray:
-    """The corrected kernel matrix on the lower block family (algebraic form)."""
-    m = materialize(kop)
-    _, low, _, _, _ = _correction_ratios(part, kop)
-    return m * low
+def _residual_squares(m: np.ndarray, scale: float, hx, hy, part: IntervalPartition,
+                      kop: WeightedKernelOperator, col: _DefectBasis,
+                      row: _DefectBasis) -> np.ndarray:
+    """Squared HS norms of the diagonal, upper and lower parts of the residual.
+
+    A is m / scale with the heavy rows hx and columns hy zeroed, U and L its
+    upper and lower families.  Families are constant on interval blocks and
+    Q is block diagonal, so U Qc and Qr^T L take one small product per
+    interval.  E = A - U Qc Qc^T - Qr Qr^T L is formed one row block at a
+    time and its squares are summed per family.
+    """
+    families = _families(part)
+    ix, iy = part.interval_of(kop.mu.positions), part.interval_of(kop.nu.positions)
+    col_factor = np.full(m.shape[1], 1.0 / scale)
+    col_factor[hy] = 0.0
+    row_keep = np.ones(m.shape[0])
+    row_keep[hx] = 0.0
+    # up[i, t, s] = (U Qc)[i, direction t of column segment s];
+    # low[t, s, j] = (Qr^T L)[direction t of row segment s, j].
+    up = np.stack([(m[:, seg] @ (col.vectors[:, seg] * col_factor[seg]).T)
+                   * (row_keep * (families[ix, iy[seg.start]] == 1))[:, None]
+                   for seg in col.segments], axis=2)
+    low = np.stack([(row.vectors[:, seg] @ m[seg]) * col_factor
+                    * (families[ix[seg.start], iy] == 2) for seg in row.segments], axis=1)
+    starts = [seg.start for seg in col.segments]
+    segment_families = families[:, iy[starts]]
+    squares = np.zeros(3)
+    for rows in row_blocks(*m.shape):
+        e = m[rows] * col_factor
+        e[row_keep[rows] == 0.0] = 0.0
+        for t in range(2):
+            e -= up[rows, t][:, col.segment] * col.vectors[t]
+            e -= row.vectors[t, rows, None] * low[t][row.segment[rows]]
+        per_segment = np.add.reduceat(e * e, starts, axis=1)
+        squares += np.bincount(segment_families[ix[rows]].ravel(), per_segment.ravel(),
+                               minlength=3)
+    return squares
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,71 +408,62 @@ class WeakDecayCertificate:
 
 
 def build_certificate(kop: WeightedKernelOperator, n: int) -> WeakDecayCertificate:
-    """Run the constructive pipeline and return a verified-by-construction bound.
+    """The certificate for one n; see build_certificates."""
+    return build_certificates(kop, [n])[0]
 
-    The returned certificate satisfies s_{defect_rank}(M) <= empirical_bound
-    for M = materialize(kop), with defect_rank <= 7n: the difference between M
-    and the measured residual matrix factors through the heavy rows/columns,
-    the defect-vector spans, and an extra codimension n converts the HS norm
-    into the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).
+
+def build_certificates(kop: WeightedKernelOperator, n_values,
+                       matrix: np.ndarray | None = None) -> list:
+    """Run the constructive pipeline for each n, materializing the operator once.
+
+    matrix, when given, must be materialize(kop); callers that also verify
+    against a full SVD pass it, so the operator is materialized only once.
+    Each certificate satisfies s_{defect_rank}(M) <= empirical_bound for
+    M = materialize(kop), with defect_rank <= 7n: the difference between M
+    and the measured residual factors through the heavy rows/columns and the
+    defect-vector spans, and an extra codimension n converts the HS norm into
+    the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n_values = list(n_values)
+    if not n_values or min(n_values) < 1:
+        raise ValidationError(f"n values must be a nonempty list of integers >= 1: {n_values!r}")
     if kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0:
         # Identically zero kernel: certify rank 0 directly.
         radius = kop.support_radius
-        part = IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n)
-        return WeakDecayCertificate(
+        return [WeakDecayCertificate(
             n=n, truncation_radius=radius,
             heavy_x=np.empty(0, dtype=int), heavy_y=np.empty(0, dtype=int),
-            partition=part, column_defects=[], row_defects=[],
+            partition=IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
+            column_defects=[], row_defects=[],
             defect_rank=0, residual_hs=0.0, empirical_bound=0.0, analytic_bound=0.0,
             scale=0.0, components={"tail_hs": 0.0, "diag_hs": 0.0},
-        )
-
+        ) for n in n_values]
+    m = materialize(kop) if matrix is None else matrix
+    if m.shape != (kop.mu.size, kop.nu.size):
+        raise ValidationError(f"matrix shape {m.shape} does not match the operator")
     unit, scale = normalize(kop)
+    return [_certificate(m, unit, scale, n) for n in n_values]
+
+
+def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float,
+                 n: int) -> WeakDecayCertificate:
     radius = truncation_radius(unit, n)
-    trunc = truncate(unit, radius)
-    hx = heavy_atoms(trunc.mu, trunc.phi, n)
-    hy = heavy_atoms(trunc.nu, trunc.psi, n)
-    masked = mask(trunc, hx, hy)
+    hx = heavy_atoms(unit.mu, unit.phi, n)
+    hy = heavy_atoms(unit.nu, unit.psi, n)
+    masked = mask(unit, hx, hy)
     part = partition(masked, n, radius)
-
-    m_full = materialize(unit)
-    m_masked = materialize(masked)
-    tail_hs = truncation_tail_hs(unit, radius)
-
-    up_ratio, low_ratio, upper_mask, lower_mask, diag_mask = _correction_ratios(part, masked)
-    m_diag = np.where(diag_mask, m_masked, 0.0)
-    m_upper = np.where(upper_mask, m_masked, 0.0)
-    m_lower = np.where(lower_mask, m_masked, 0.0)
-
-    col_defects = taylor_defects(part, masked, "column")
-    row_defects = taylor_defects(part, masked, "row")
-    q_col = orthonormal_columns(col_defects, masked.nu.size, rel_tol=DEFECT_ANGLE_TOL)
-    q_row = orthonormal_columns(row_defects, masked.mu.size, rel_tol=DEFECT_ANGLE_TOL)
-
-    # Residual E: everything that is not explicitly low rank.  M - E equals
-    # (M_trunc - M_masked) + M_upper Qc Qc^T + Qr Qr^T M_lower, whose rank is
-    # at most |hx| + |hy| + rank(Qc) + rank(Qr) by construction.
-    m_trunc = materialize(trunc)
-    e = (m_full - m_trunc) + m_diag
-    e += m_upper - (m_upper @ q_col) @ q_col.T
-    e += m_lower - q_row @ (q_row.T @ m_lower)
-    residual = frobenius(e)
-
-    upper_hs = frobenius(m_upper - (m_upper @ q_col) @ q_col.T)
-    lower_hs = frobenius(m_lower - q_row @ (q_row.T @ m_lower))
+    col = _defect_basis(part, masked, "column")
+    row = _defect_basis(part, masked, "row")
+    squares = _residual_squares(m, scale, hx, hy, part, masked, col, row)
+    residual = math.sqrt(squares.sum())
+    diag_hs, upper_hs, lower_hs = np.sqrt(squares)
     flat_up, flat_low = flat_bound(part)
-    diag_hs = frobenius(m_diag)
 
-    # Analytic chain: certified tail term (0 when nothing was discarded, else
-    # the 1/sqrt(n) guarantee of the radius search), the 4/sqrt(n) diagonal
-    # bound, and the separation-sum bounds for the two corrected families.
-    tail_term = 0.0 if tail_hs == 0.0 else 1.0 / math.sqrt(n)
-    analytic_hs = tail_term + 4.0 / math.sqrt(n) + flat_up + flat_low
+    # Analytic chain: the 4/sqrt(n) diagonal bound and the separation-sum
+    # bounds for the two corrected families.
+    analytic_hs = 4.0 / math.sqrt(n) + flat_up + flat_low
 
-    defect_rank = int(hx.size + hy.size + q_col.shape[1] + q_row.shape[1] + n)
+    defect_rank = int(hx.size + hy.size + col.rank + row.rank + n)
     root = math.sqrt(n + 1.0)
     return WeakDecayCertificate(
         n=n,
@@ -495,15 +471,17 @@ def build_certificate(kop: WeightedKernelOperator, n: int) -> WeakDecayCertifica
         heavy_x=hx,
         heavy_y=hy,
         partition=part,
-        column_defects=col_defects,
-        row_defects=row_defects,
+        column_defects=taylor_defects(part, masked, "column"),
+        row_defects=taylor_defects(part, masked, "row"),
         defect_rank=defect_rank,
         residual_hs=scale * residual,
         empirical_bound=scale * residual / root,
         analytic_bound=scale * analytic_hs / root,
         scale=scale,
         components={
-            "tail_hs": scale * tail_hs,
+            # Nothing outside the support window is discarded; the field stays
+            # for format compatibility.
+            "tail_hs": 0.0,
             "diag_hs": scale * diag_hs,
             "diag_weight_bound": scale * diag_weight_bound(part),
             "diag_apriori_bound": scale * 4.0 / math.sqrt(n),
@@ -614,6 +592,11 @@ def write_certificate(path, cert: WeakDecayCertificate, include_vectors: bool = 
 
 
 def read_certificate(path) -> WeakDecayCertificate:
+    """Load a certificate written by write_certificate.
+
+    Every required field must be present with the type write_certificate
+    gives it (numbers finite); anything else raises ValidationError.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -621,25 +604,33 @@ def read_certificate(path) -> WeakDecayCertificate:
         raise ValidationError(f"cannot read certificate from {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"certificate file {path} is not valid JSON: {exc}") from exc
-    part = data["partition"]
-    vectors = data.get("defect_vectors", {"column": [], "row": []})
+
+    def field(source, key, kind, default=None):
+        if key not in source and default is None:
+            raise ValidationError(f"certificate file {path}: missing field {key!r}")
+        return checked(source.get(key, default), kind, f"certificate file {path}: field {key!r}")
+
+    data = checked(data, dict, f"certificate file {path}")
+    part = field(data, "partition", dict)
+    vectors = field(data, "defect_vectors", dict, {"column": [], "row": []})
+    components = field(data, "components", dict, {})
     return WeakDecayCertificate(
-        n=int(data["n"]),
-        truncation_radius=float(data["truncation_radius"]),
-        heavy_x=np.asarray(data["heavy_x"], dtype=int),
-        heavy_y=np.asarray(data["heavy_y"], dtype=int),
+        n=field(data, "n", int),
+        truncation_radius=field(data, "truncation_radius", float),
+        heavy_x=np.asarray(field(data, "heavy_x", [int]), dtype=int),
+        heavy_y=np.asarray(field(data, "heavy_y", [int]), dtype=int),
         partition=IntervalPartition(
-            np.asarray(part["edges"], dtype=float),
-            np.asarray(part["phi_weights"], dtype=float),
-            np.asarray(part["psi_weights"], dtype=float),
-            int(part["n"]),
+            np.asarray(field(part, "edges", [float]), dtype=float),
+            np.asarray(field(part, "phi_weights", [float]), dtype=float),
+            np.asarray(field(part, "psi_weights", [float]), dtype=float),
+            field(part, "n", int),
         ),
-        column_defects=[np.asarray(v, dtype=float) for v in vectors["column"]],
-        row_defects=[np.asarray(v, dtype=float) for v in vectors["row"]],
-        defect_rank=int(data["defect_rank"]),
-        residual_hs=float(data["residual_hs"]),
-        empirical_bound=float(data["empirical_bound"]),
-        analytic_bound=float(data["analytic_bound"]),
-        scale=float(data["scale"]),
-        components={k: float(v) for k, v in data.get("components", {}).items()},
+        column_defects=[np.asarray(v) for v in field(vectors, "column", [[float]])],
+        row_defects=[np.asarray(v) for v in field(vectors, "row", [[float]])],
+        defect_rank=field(data, "defect_rank", int),
+        residual_hs=field(data, "residual_hs", float),
+        empirical_bound=field(data, "empirical_bound", float),
+        analytic_bound=field(data, "analytic_bound", float),
+        scale=field(data, "scale", float),
+        components={k: field(components, k, float) for k in components},
     )

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, ValidationError, checked
 from .linalg import SpectralDecomposition
 
 
@@ -118,12 +118,14 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
 
 _KINDS = {
     "abs": lambda spec: absolute_value(),
-    "shifted_abs": lambda spec: shifted_absolute(spec["t"]),
+    "shifted_abs": lambda spec: shifted_absolute(checked(spec["t"], float, "shifted_abs t")),
     "clamp": lambda spec: clamp_function(),
-    "pwl": lambda spec: piecewise_linear(spec["breakpoints"], spec["seed"]),
-    "smooth_ramp": lambda spec: smooth_ramp(spec.get("delta", 0.1)),
+    "pwl": lambda spec: piecewise_linear(checked(spec["breakpoints"], [float], "pwl breakpoints"),
+                                         checked(spec["seed"], int, "pwl seed")),
+    "smooth_ramp": lambda spec: smooth_ramp(checked(spec.get("delta", 0.1), float,
+                                                    "smooth_ramp delta")),
     "identity": lambda spec: identity_function(),
-    "constant": lambda spec: constant_function(spec.get("c", 0.0)),
+    "constant": lambda spec: constant_function(checked(spec.get("c", 0.0), float, "constant c")),
 }
 
 

@@ -1,4 +1,4 @@
-"""Dense real matrix kernels: symmetric eigendecomposition, SVD, projectors.
+"""Dense real matrix kernels: symmetric eigendecomposition, SVD, matrix files.
 
 Everything here is a pure function of float64 arrays.  Results are
 deterministic for identical inputs (same LAPACK build), eigenvector signs are
@@ -142,34 +142,6 @@ def svd(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return s, u, v
 
 
-def complement_projector(vectors, dim: int) -> np.ndarray:
-    """Orthogonal projector onto the complement of span(vectors) in R^dim.
-
-    Zero vectors are skipped; near-parallel vectors collapse to a single
-    direction.  P satisfies P^2 = P = P^T and rank(P) = dim - rank(span).
-    """
-    basis = orthonormal_columns(vectors, dim)
-    return np.eye(dim) - basis @ basis.T
-
-
-def orthonormal_columns(vectors, dim: int, rel_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis (as columns) of the span of the given vectors.
-
-    rel_tol is the relative singular-value cutoff separating independent
-    directions from near-parallel duplicates.
-    """
-    rows = [np.asarray(v, dtype=float) for v in vectors]
-    rows = [v for v in rows if v.size and np.linalg.norm(v) > 0.0]
-    if not rows:
-        return np.zeros((dim, 0))
-    stack = np.column_stack(rows)
-    if stack.shape[0] != dim:
-        raise ValidationError(f"vectors must have length {dim}, got {stack.shape[0]}")
-    u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    rank = int(np.sum(s > rel_tol * s[0])) if s.size else 0
-    return u[:, :rank]
-
-
 def matrix_text(m) -> str:
     """A matrix in the text format: 'rows cols' header, one row per line."""
     mat = as_matrix(m)
@@ -182,8 +154,11 @@ def matrix_text(m) -> str:
 def write_matrix(path, m) -> None:
     """Write a matrix in the text format of matrix_text."""
     text = matrix_text(m)
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write matrix file {path}: {exc}") from exc
 
 
 def read_matrix(path) -> np.ndarray:

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .certificate import build_certificate, verify_certificate
+from .certificate import build_certificates, verify_certificate
 from .doi import birman_solomyak_delta, bs_residual_bound, doi_apply, rank_one_perturb
-from .errors import SoundnessError, ValidationError
+from .errors import SoundnessError, ValidationError, checked
 from .functions import LipschitzFunction, function_from_spec
 from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
                      s_omega_norm, weak_s1_quasinorm)
@@ -61,33 +61,23 @@ class SweepConfig:
             raise ValidationError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENTS}")
         object.__setattr__(self, "dimensions", _integers("dimensions", self.dimensions, 2))
         object.__setattr__(self, "n_values", _integers("n_values", self.n_values, 1))
-        object.__setattr__(self, "ensemble", _convert(int, "ensemble", self.ensemble))
+        object.__setattr__(self, "ensemble", checked(self.ensemble, int, "ensemble"))
         if self.ensemble < 1:
             raise ValidationError("ensemble size must be >= 1")
-        object.__setattr__(self, "seed", _convert(int, "seed", self.seed))
+        object.__setattr__(self, "seed", checked(self.seed, int, "seed"))
         function_from_spec(self.function)  # validate early
         if self.experiment == "interp":
-            object.__setattr__(self, "p", _convert(float, "p", self.p))
-            object.__setattr__(self, "epsilon", _convert(float, "epsilon", self.epsilon))
+            object.__setattr__(self, "p", checked(self.p, float, "p"))
+            object.__setattr__(self, "epsilon", checked(self.epsilon, float, "epsilon"))
             if not (self.p >= 1.0 and self.epsilon > 0.0):
                 raise ValidationError("interp sweep requires p >= 1 and epsilon > 0")
         if self.format not in ("csv", "json"):
             raise ValidationError(f"format must be 'csv' or 'json', got {self.format!r}")
 
 
-def _convert(kind, name: str, value):
-    """kind(value), or a ValidationError naming the config field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{name} must be a {kind.__name__}, got {value!r}") from exc
-
-
 def _integers(name: str, values, least: int) -> tuple:
     """values as a nonempty tuple of integers >= least, or a ValidationError."""
-    ints = ()
-    if isinstance(values, (list, tuple)):
-        ints = tuple(_convert(int, name, v) for v in values)
+    ints = tuple(checked(values, [int], name))
     if not ints or min(ints) < least:
         raise ValidationError(f"{name} must be a nonempty list of integers >= {least}, "
                               f"got {values!r}")
@@ -230,11 +220,11 @@ def _certificate(rng, f: LipschitzFunction, atoms: int, cfg: SweepConfig):
     sweep (it signals an implementation bug).
     """
     kop = random_kernel_operator(rng, f, atoms, atoms)
-    spectrum = singular_spectrum(materialize(kop))
+    m = materialize(kop)
+    spectrum = singular_spectrum(m)
     row = {}
     k_bound = k_direct = 0.0
-    for n in cfg.n_values:
-        cert = build_certificate(kop, n)
+    for n, cert in zip(cfg.n_values, build_certificates(kop, cfg.n_values, matrix=m)):
         report = verify_certificate(kop, cert, spectrum=spectrum)
         s7n = singular_value_at(spectrum, 7 * n)
         k_bound = max(k_bound, n * cert.empirical_bound)

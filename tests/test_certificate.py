@@ -1,35 +1,35 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from liplab.certificate import (IntervalPartition, build_certificate, diag_block_hs,
-                                diag_weight_bound, doubling_truncation_radius, flat_bound,
-                                heavy_atoms, lower_corrected_matrix, mask, normalize,
+from liplab.certificate import (IntervalPartition, build_certificate, build_certificates,
+                                diag_weight_bound, flat_bound, heavy_atoms, mask, normalize,
                                 partition, read_certificate, split_blocks, taylor_defects,
-                                truncate, truncation_radius, truncation_tail_hs,
-                                upper_corrected_matrix, verify_certificate,
-                                write_certificate)
+                                truncation_radius, verify_certificate, write_certificate)
 from liplab.errors import (CertificateUnsoundError, PartitionInfeasibleError,
                            ValidationError)
-from liplab.functions import absolute_value, constant_function, piecewise_linear
+from liplab.functions import absolute_value, clamp_function, constant_function, piecewise_linear
 from liplab.ideals import singular_value_at
-from liplab.linalg import frobenius, orthonormal_columns
+from liplab.linalg import frobenius
 from liplab.measures import discrete_measure, kernel_operator, materialize
 from liplab.rng import make_rng, random_kernel_operator
+from oracles import (correction_ratios, dense_certificate, diag_block_hs,
+                     doubling_truncation_radius, lower_corrected_matrix, orthonormal_columns,
+                     truncate, truncation_tail_hs, upper_corrected_matrix)
 
 
 def masked_instance(seed, atoms, n, f=None):
-    """Normalized, truncated, masked operator plus its partition."""
+    """Normalized, masked operator plus its partition."""
     rng = make_rng(seed, 900)
     kop = random_kernel_operator(rng, f or absolute_value(), atoms, atoms)
     unit, _ = normalize(kop)
     radius = truncation_radius(unit, n)
-    trunc = truncate(unit, radius)
-    hx = heavy_atoms(trunc.mu, trunc.phi, n)
-    hy = heavy_atoms(trunc.nu, trunc.psi, n)
-    masked = mask(trunc, hx, hy)
+    hx = heavy_atoms(unit.mu, unit.phi, n)
+    hy = heavy_atoms(unit.nu, unit.psi, n)
+    masked = mask(unit, hx, hy)
     return masked, partition(masked, n, radius), radius
 
 
@@ -294,7 +294,6 @@ def test_diag_block_hs_paper_bound(n):
 def test_taylor_defects_parallel_when_f_constant_on_interval():
     # Atoms confined to x > 1 where clamp is constant: the two defect vectors
     # per interval are parallel and collapse to one direction.
-    from liplab.functions import clamp_function
     pos = np.linspace(1.5, 2.5, 12)
     kop = kernel_operator(pos, np.full(12, 1 / 12), np.ones(12),
                           pos + 1e-4, np.full(12, 1 / 12), np.ones(12), clamp_function())
@@ -327,12 +326,11 @@ def test_taylor_correction_identity():
     # On the complement of the column defects, the upper blocks act exactly
     # like the corrected kernel; mirrored for rows.  This is the algebraic
     # heart of the construction, checked entrywise on small instances.
-    from liplab.certificate import _correction_ratios
     for seed, n in ((52, 12), (53, 16), (54, 20)):
         f = piecewise_linear(np.linspace(-2.5, 2.5, 11), seed)
         masked, part, _ = masked_instance(seed, 45, n, f=f)
         m = materialize(masked)
-        up, low, upper_mask, lower_mask, _ = _correction_ratios(part, masked)
+        up, low, upper_mask, lower_mask, _ = correction_ratios(part, masked)
         m_upper = np.where(upper_mask, m, 0.0)
         m_lower = np.where(lower_mask, m, 0.0)
         b2 = np.where(upper_mask, upper_corrected_matrix(masked, part), 0.0)
@@ -347,9 +345,8 @@ def test_taylor_correction_identity():
 
 def test_corrected_kernel_entrywise_bound():
     # |a_IJ| <= short / (short + dist) entrywise, with dd clamped to 1.
-    from liplab.certificate import _correction_ratios
     masked, part, _ = masked_instance(55, 50, 16)
-    up, low, upper_mask, lower_mask, _ = _correction_ratios(part, masked)
+    up, low, upper_mask, lower_mask, _ = correction_ratios(part, masked)
     lengths = part.lengths
     ix = part.interval_of(masked.mu.positions)
     iy = part.interval_of(masked.nu.positions)
@@ -468,6 +465,55 @@ def test_certificate_fitted_constant_stabilizes():
     assert large <= 1.5 * small
 
 
+def test_build_certificates_matches_dense_oracle():
+    # The interval-by-interval pipeline against the dense one: one SVD of all
+    # defects, dense projectors and the full residual matrix.  clamp is
+    # constant beyond +-1, so intervals there have parallel defects; the
+    # random weights carry spikes, so larger n masks heavy atoms.  On the
+    # integer grid intervals tie in length (ties belong to the upper family),
+    # and far from 0 abs is nearly constant on a tight cluster, so the
+    # weighted-f defect is nearly parallel to the indicator.
+    kops = []
+    for seed in range(24):
+        rng = make_rng(seed, 66)
+        f = (absolute_value(), clamp_function(),
+             piecewise_linear(np.linspace(-2.5, 2.5, 21), seed))[seed % 3]
+        kops.append(random_kernel_operator(rng, f, int(rng.integers(5, 90)),
+                                           int(rng.integers(5, 90))))
+    for pos, offset in ((np.arange(-8.0, 8.0), 0.5), (1000.0 + 1e-6 * np.arange(20.0), 5e-7)):
+        uniform = np.full(pos.size, 1.0 / pos.size)
+        kops.append(kernel_operator(pos, uniform, np.ones(pos.size), pos + offset, uniform,
+                                    np.ones(pos.size), absolute_value()))
+    n_values = (1, 2, 4, 8, 16, 32)
+    checked = heavy = collapsed = 0
+    for kop in kops:
+        for n, cert in zip(n_values, build_certificates(kop, n_values)):
+            dense = dense_certificate(kop, n)
+            assert cert.defect_rank == dense["defect_rank"]
+            floor = 1e-12 * kop.norm_product
+            assert cert.residual_hs == pytest.approx(dense["residual_hs"], rel=1e-12, abs=floor)
+            for key in ("diag_hs", "upper_hs", "lower_hs"):
+                assert cert.components[key] == pytest.approx(dense[key], rel=1e-12, abs=floor)
+            heavy += cert.heavy_x.size + cert.heavy_y.size > 0
+            collapsed += (cert.defect_rank - n - cert.heavy_x.size - cert.heavy_y.size
+                          < len(cert.column_defects) + len(cert.row_defects))
+            checked += 1
+    assert checked == len(kops) * len(n_values) and heavy and collapsed
+
+
+def test_build_certificates_shares_one_matrix():
+    rng = make_rng(67, 0)
+    kop = random_kernel_operator(rng, absolute_value(), 30, 40)
+    m = materialize(kop)
+    shared = build_certificates(kop, [2, 8], matrix=m)
+    assert [c.residual_hs for c in shared] == [build_certificate(kop, n).residual_hs
+                                               for n in (2, 8)]
+    with pytest.raises(ValidationError):
+        build_certificates(kop, [2], matrix=m[:, :-1])
+    with pytest.raises(ValidationError):
+        build_certificates(kop, [])
+
+
 def test_verify_zero_operator():
     kop = kernel_operator([0.0], [1.0], [1.0], [0.5], [1.0], [0.0], absolute_value())
     cert = build_certificate(kop, 2)
@@ -519,3 +565,38 @@ def test_certificate_io_roundtrip(tmp_path):
         np.testing.assert_array_equal(a, b)
     # A reloaded certificate verifies against the original operator.
     assert verify_certificate(kop, back).passed
+
+
+def test_read_certificate_rejects_malformed(tmp_path):
+    rng = make_rng(65, 0)
+    cert = build_certificate(random_kernel_operator(rng, absolute_value(), 25, 25), 4)
+    path = tmp_path / "cert.json"
+    write_certificate(path, cert, include_vectors=True)
+    good = json.loads(path.read_text())
+
+    def edited(change):
+        data = json.loads(json.dumps(good))
+        change(data)
+        return data
+
+    bad = [
+        edited(lambda d: d.pop("partition")),
+        edited(lambda d: d.pop("defect_rank")),
+        edited(lambda d: d["partition"].pop("edges")),
+        edited(lambda d: d.update(n="4")),
+        edited(lambda d: d.update(n=4.5)),
+        edited(lambda d: d.update(defect_rank=True)),
+        edited(lambda d: d.update(residual_hs=float("nan"))),
+        edited(lambda d: d.update(empirical_bound=float("inf"))),
+        edited(lambda d: d.update(heavy_x=[0.5])),
+        edited(lambda d: d.update(partition=[1, 2])),
+        edited(lambda d: d["defect_vectors"].update(column=[["x"]])),
+        edited(lambda d: d["components"].update(diag_hs=None)),
+        [good],
+    ]
+    for data in bad:
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError):
+            read_certificate(path)
+    path.write_text(json.dumps(good))
+    assert read_certificate(path).defect_rank == cert.defect_rank

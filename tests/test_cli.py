@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from liplab import sweeps
+from liplab import measures, sweeps
 from liplab.cli import main
 from liplab.functions import absolute_value
 from liplab.linalg import read_matrix, write_matrix
@@ -94,6 +95,56 @@ def test_certify_bad_n(tmp_path):
     write_kernel_operator(op_path, kop)
     assert main(["certify", "--input", str(op_path), "--n", "0"]) == 2
     assert main(["certify", "--input", str(op_path), "--n", ""]) == 2
+    assert main(["certify", "--input", str(op_path), "--n", "a"]) == 2
+    assert main(["certify", "--input", str(op_path), "--n", "4,2.5"]) == 2
+
+
+def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch):
+    calls = []
+    original = measures.materialize
+
+    def counting(kop):
+        calls.append(kop)
+        return original(kop)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("liplab") and getattr(module, "materialize", None) is original:
+            monkeypatch.setattr(module, "materialize", counting)
+    kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
+    op_path = tmp_path / "kop.txt"
+    write_kernel_operator(op_path, kop)
+    assert main(["certify", "--input", str(op_path), "--n", "2,4,8",
+                 "--out", str(tmp_path / "certs.json")]) == 0
+    assert len(calls) == 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "certificate", "dimensions": [20, 30],
+                                    "ensemble": 2, "seed": 0, "function": {"kind": "abs"},
+                                    "n_values": [2, 4, 8]}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 0
+    assert len(calls) == 1 + 4  # one per operator of the 2 x 2 ensemble
+
+
+def test_unwritable_matrix_output_exits_2(matrices):
+    out = str(matrices / "nodir" / "x.txt")
+    assert main(["fdelta", "--function", '{"kind": "abs"}',
+                 str(matrices / "A.txt"), str(matrices / "B.txt"), "--out", out]) == 2
+    assert main(["doi", "--function", '{"kind": "abs"}', str(matrices / "A.txt"),
+                 str(matrices / "B.txt"), str(matrices / "T.txt"), "--out", out]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind": "pwl", "breakpoints": [0, 1], "seed": "abc"}',
+    '{"kind": "pwl", "breakpoints": [0, 1], "seed": 1.5}',
+    '{"kind": "pwl", "breakpoints": [0, "x"], "seed": 1}',
+    '{"kind": "smooth_ramp", "delta": "x"}',
+    '{"kind": "shifted_abs", "t": NaN}',
+    '{"kind": "shifted_abs", "t": Infinity}',
+    '{"kind": "constant", "c": -Infinity}',
+    '{"kind": "shifted_abs", "t": null}',
+])
+def test_bad_function_parameters_exit_2(matrices, spec):
+    assert main(["fdelta", "--function", spec,
+                 str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
 
 
 def test_sweep_command_deterministic(tmp_path):
