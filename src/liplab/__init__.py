@@ -7,17 +7,16 @@ kernel operators on discrete measures.
 """
 
 from .certificate import (IntervalPartition, WeakDecayCertificate, build_certificate,
-                          build_certificates, flat_bound, heavy_atoms, mask,
+                          build_certificates, certify, flat_bound, heavy_atoms, mask,
                           normalize, partition, read_certificate, split_blocks,
-                          taylor_defects, truncation_radius, verify_certificate,
-                          write_certificate)
+                          taylor_defects, verify_certificate, write_certificate)
 from .doi import check_birman_solomyak, doi_apply, f_delta, rank_one_perturb
 from .errors import (CertificateUnsoundError, ConvergenceError, EvaluationError,
                      PartitionInfeasibleError, SoundnessError, ValidationError)
 from .functions import (LipschitzFunction, absolute_value, apply_function, clamp_function,
                         constant_function, default_suite, divided_difference,
-                        estimate_lip_seminorm, function_from_spec, identity_function,
-                        loewner_matrix, piecewise_linear, shifted_absolute, smooth_ramp)
+                        function_from_spec, identity_function, loewner_matrix,
+                        piecewise_linear, shifted_absolute, smooth_ramp)
 from .ideals import (s_Omega_norm, s_omega_norm, schatten_norm, singular_spectrum,
                      singular_value_at, weak_s1_quasinorm)
 from .linalg import SpectralDecomposition, eigh_symmetric, read_matrix, svd, write_matrix

@@ -1,8 +1,9 @@
 """Weak-decay certificates for weighted divided-difference kernel operators.
 
 Given a kernel operator I_k with kernel phi(x) dd_f(x, y) psi(y) on discrete
-measures, build_certificates(kop, n_values) materializes its matrix M once and
-runs a fully constructive pipeline for each n:
+measures, certify(kop, n_values) materializes its matrix M once, runs a fully
+constructive pipeline for each n and verifies every result against one SVD
+of M:
 
   1. normalize weights and function (||phi|| = ||psi|| = lip = 1); the
      normalized matrix is M divided by the removed norm product;
@@ -20,8 +21,9 @@ runs a fully constructive pipeline for each n:
   5. measure the Hilbert-Schmidt norm of what remains, row block by row block.
 
 The result is a pair (r, b) with r <= 7n and s_r(I_k) <= b, verified
-independently by a full SVD in verify_certificate.  All reported bounds are
-in the scale of the original operator (norm products multiplied back in).
+independently against the singular spectrum of M in verify_certificate.  All
+reported bounds are in the scale of the original operator (norm products
+multiplied back in).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import (CertificateUnsoundError, PartitionInfeasibleError, ValidationError,
                      checked)
-from .ideals import singular_value_at, weak_s1_quasinorm
+from .ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
 from .measures import DiscreteMeasure, WeightedKernelOperator, materialize, row_blocks
 
 # Dimension-free constant for the weak quasinorm check in verify_certificate.
@@ -69,13 +71,6 @@ def normalize(kop: WeightedKernelOperator) -> tuple[WeightedKernelOperator, floa
         kop.mu, kop.nu, kop.phi / a, kop.psi / b, kop.f.rescaled(1.0 / lip)
     )
     return scaled, a * b * lip
-
-
-def truncation_radius(kop: WeightedKernelOperator, n: int) -> float:
-    """Half-width N of the window [-N, N] that the partition covers: the support radius."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    return kop.support_radius
 
 
 def heavy_atoms(measure: DiscreteMeasure, weights, n: int) -> np.ndarray:
@@ -412,18 +407,34 @@ def build_certificate(kop: WeightedKernelOperator, n: int) -> WeakDecayCertifica
     return build_certificates(kop, [n])[0]
 
 
-def build_certificates(kop: WeightedKernelOperator, n_values,
-                       matrix: np.ndarray | None = None) -> list:
+def build_certificates(kop: WeightedKernelOperator, n_values) -> list:
     """Run the constructive pipeline for each n, materializing the operator once.
 
-    matrix, when given, must be materialize(kop); callers that also verify
-    against a full SVD pass it, so the operator is materialized only once.
     Each certificate satisfies s_{defect_rank}(M) <= empirical_bound for
     M = materialize(kop), with defect_rank <= 7n: the difference between M
     and the measured residual factors through the heavy rows/columns and the
     defect-vector spans, and an extra codimension n converts the HS norm into
     the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).
     """
+    return _certificates(kop, n_values, materialize(kop))
+
+
+def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
+    """Build and verify the certificate for each n with one materialization and one SVD.
+
+    Returns the singular spectrum of materialize(kop) and one (certificate,
+    VerificationReport) pair per n.  Raises CertificateUnsoundError if a
+    certificate fails verification.
+    """
+    m = materialize(kop)
+    # SVD first: its workspace and the certificates' defect vectors never coexist.
+    spectrum = singular_spectrum(m)
+    return spectrum, [(cert, verify_certificate(kop, cert, spectrum=spectrum))
+                      for cert in _certificates(kop, n_values, m)]
+
+
+def _certificates(kop: WeightedKernelOperator, n_values, m: np.ndarray) -> list:
+    """The certificates of build_certificates, given m = materialize(kop)."""
     n_values = list(n_values)
     if not n_values or min(n_values) < 1:
         raise ValidationError(f"n values must be a nonempty list of integers >= 1: {n_values!r}")
@@ -438,16 +449,13 @@ def build_certificates(kop: WeightedKernelOperator, n_values,
             defect_rank=0, residual_hs=0.0, empirical_bound=0.0, analytic_bound=0.0,
             scale=0.0, components={"tail_hs": 0.0, "diag_hs": 0.0},
         ) for n in n_values]
-    m = materialize(kop) if matrix is None else matrix
-    if m.shape != (kop.mu.size, kop.nu.size):
-        raise ValidationError(f"matrix shape {m.shape} does not match the operator")
     unit, scale = normalize(kop)
     return [_certificate(m, unit, scale, n) for n in n_values]
 
 
 def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float,
                  n: int) -> WeakDecayCertificate:
-    radius = truncation_radius(unit, n)
+    radius = unit.support_radius
     hx = heavy_atoms(unit.mu, unit.phi, n)
     hy = heavy_atoms(unit.nu, unit.psi, n)
     masked = mask(unit, hx, hy)
@@ -503,21 +511,19 @@ class VerificationReport:
     weak_quasinorm: float
     norm_product: float
     weak_ratio: float
-    weak_norm_constant: float
 
 
 def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, *,
-                       weak_norm_constant: float = WEAK_NORM_CONSTANT,
                        spectrum=None) -> VerificationReport:
     """Check a certificate against a full SVD of the materialized operator.
 
     (a) s_{r}(M) <= b, (b) b <= analytic_bound, (c) the weak quasinorm of the
-    spectrum is at most weak_norm_constant times ||phi|| ||psi|| lip, and the
+    spectrum is at most WEAK_NORM_CONSTANT times ||phi|| ||psi|| lip, and the
     rank budget r <= 7n.  Raises CertificateUnsoundError on any failure; a
     precomputed singular spectrum may be passed to avoid repeating the SVD.
     """
     if spectrum is None:
-        spectrum = np.linalg.svd(materialize(kop), compute_uv=False)
+        spectrum = singular_spectrum(materialize(kop))
     s_r = singular_value_at(spectrum, cert.defect_rank)
     if s_r > cert.empirical_bound + VERIFY_TOL:
         raise CertificateUnsoundError(
@@ -535,7 +541,7 @@ def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, 
         )
     weak = weak_s1_quasinorm(spectrum)
     product = kop.norm_product
-    allowed = weak_norm_constant * product + VERIFY_TOL
+    allowed = WEAK_NORM_CONSTANT * product + VERIFY_TOL
     if weak > allowed:
         raise CertificateUnsoundError(
             "weak quasinorm exceeds the reported constant times the norm product",
@@ -550,7 +556,6 @@ def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, 
         weak_quasinorm=weak,
         norm_product=product,
         weak_ratio=weak / product if product > 0 else 0.0,
-        weak_norm_constant=weak_norm_constant,
     )
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: fdelta, doi, bscheck, certify, sweep.  Exit codes: 0 success,
-2 validation error (bad input, bad config, bad file), 3 soundness failure
+2 validation error (bad input, bad config, bad file, a function non-finite at
+the data, a matrix no decomposition meets its contract on), 3 soundness failure
 (certificate unsound, a Birman-Solomyak residual out of contract, or a sweep's
 S2 Schur-multiplier bound violated).
 """
@@ -13,14 +14,12 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .certificate import build_certificates, certificate_to_dict, verify_certificate
+from .certificate import certificate_to_dict, certify
 from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
-from .errors import SoundnessError, ValidationError
+from .errors import ConvergenceError, EvaluationError, SoundnessError, ValidationError
 from .functions import function_from_spec
 from .linalg import eigh_symmetric, matrix_text, read_matrix, write_matrix
-from .measures import materialize, read_kernel_operator
+from .measures import read_kernel_operator
 from .sweeps import emit_report, load_config, run_sweep
 
 
@@ -87,12 +86,8 @@ def _cmd_certify(args) -> int:
         n_values = []
     if not n_values or any(n < 1 for n in n_values):
         raise ValidationError(f"--n must be a comma-separated list of positive integers: {args.n!r}")
-    m = materialize(kop)
-    certs = build_certificates(kop, n_values, matrix=m)
-    spectrum = np.linalg.svd(m, compute_uv=False)
     records = []
-    for cert in certs:
-        report = verify_certificate(kop, cert, spectrum=spectrum)
+    for cert, report in certify(kop, n_values)[1]:
         record = certificate_to_dict(cert, include_vectors=args.include_vectors)
         record["verification"] = {
             "passed": report.passed,
@@ -177,7 +172,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, EvaluationError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SoundnessError as exc:

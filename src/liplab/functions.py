@@ -142,26 +142,16 @@ def function_from_spec(spec: dict) -> LipschitzFunction:
         raise ValidationError(f"function spec {spec!r} is missing field {exc}") from exc
 
 
-def default_suite(pwl_seed: int = 7) -> list[LipschitzFunction]:
-    """The built-in test suite: abs, a shifted abs, clamp, a seeded pwl, smooth ramp."""
+def default_suite() -> list[LipschitzFunction]:
+    """The built-in test suite: abs, a shifted abs, clamp, the seed-7 pwl, smooth ramp."""
     grid = np.linspace(-2.5, 2.5, 41)
     return [
         absolute_value(),
         shifted_absolute(0.3),
         clamp_function(),
-        piecewise_linear(grid, pwl_seed),
+        piecewise_linear(grid, 7),
         smooth_ramp(0.1),
     ]
-
-
-def divided_difference(f: LipschitzFunction, x: float, y: float) -> float:
-    """(f(x) - f(y)) / (x - y), exactly 0 when x == y; always within [-lip, lip]."""
-    x = float(x)
-    y = float(y)
-    if x == y:
-        return 0.0
-    q = (float(f(x)) - float(f(y))) / (x - y)
-    return float(np.clip(q, -f.lip, f.lip))
 
 
 def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
@@ -177,13 +167,9 @@ def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
     return np.clip(quot, -f.lip, f.lip)
 
 
-def estimate_lip_seminorm(f: LipschitzFunction, grid) -> float:
-    """Max slope over consecutive distinct grid points; a lower bound for lip."""
-    pts = np.unique(np.asarray(grid, dtype=float))
-    if pts.size < 2:
-        raise ValidationError("lip estimation needs at least 2 distinct grid points")
-    vals = np.asarray(f(pts), dtype=float)
-    return float(np.max(np.abs(np.diff(vals)) / np.diff(pts)))
+def divided_difference(f: LipschitzFunction, x: float, y: float) -> float:
+    """The loewner_matrix entry at one point pair: (f(x) - f(y)) / (x - y), 0 when x == y."""
+    return float(loewner_matrix(f, x, y)[0, 0])
 
 
 def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarray:

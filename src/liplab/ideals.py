@@ -107,26 +107,3 @@ def harmonic_log_gap(n: int) -> float:
     h = float(np.sum(1.0 / np.arange(1.0, n + 2.0)))
     return math.log(2.0 + n) / math.log(2.0) - h
 
-
-def write_spectrum(path, s) -> None:
-    spec = as_spectrum(s)
-    with open(path, "w") as fh:
-        for x in spec:
-            fh.write(repr(float(x)) + "\n")
-
-
-def read_spectrum(path) -> np.ndarray:
-    """Read one value per line; monotonicity violations beyond 1e-9 are an error."""
-    try:
-        with open(path) as fh:
-            raw = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read spectrum file {path}: {exc}") from exc
-    try:
-        values = [float(x) for x in raw]
-    except ValueError as exc:
-        raise ValidationError(f"spectrum file {path}: bad number") from exc
-    try:
-        return as_spectrum(values)
-    except ValidationError as exc:
-        raise ValidationError(f"spectrum file {path}: {exc}") from exc

@@ -21,9 +21,6 @@ EIG_RESIDUAL_TOL = 1e-10
 # Reconstruction residual tolerance for SVD, relative to 1 + ||M||_F.
 SVD_RESIDUAL_TOL = 1e-9
 
-DEFAULT_TOL = 1e-12
-_TOL_RANGE = (1e-15, 1e-6)
-
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return a 2-D float64 matrix with finite entries."""
@@ -88,44 +85,39 @@ class SpectralDecomposition:
         return self.frame.shape[0]
 
 
-def _check_tol(tol: float) -> float:
-    tol = float(tol)
-    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
-        raise ValidationError(f"tol must lie in [{_TOL_RANGE[0]}, {_TOL_RANGE[1]}], got {tol}")
-    return tol
-
-
-def eigh_symmetric(a, tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+def eigh_symmetric(a) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     The returned frame satisfies frame^T frame = I to ORTHONORMALITY_TOL * dim
-    and reconstructs the input to max(tol, floor) * (1 + ||A||_F), where the
-    floor accounts for the attainable rounding level at the given dimension.
-    Raises ConvergenceError if the contract cannot be met.
+    and reconstructs the input to max(1e-12, floor) * (1 + ||A||_F), capped at
+    EIG_RESIDUAL_TOL, where the floor 16 * dim * eps is the attainable rounding
+    level at the given dimension.  Raises ConvergenceError if the contract
+    cannot be met.
     """
     m = as_symmetric(a)
-    tol = _check_tol(tol)
-    vals, frame = np.linalg.eigh(m)
+    try:
+        vals, frame = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # LAPACK gives up on extreme dynamic ranges
+        raise ConvergenceError(f"eigendecomposition failed at dim {m.shape[0]}: {exc}") from exc
     frame = _canonical_signs(frame)
     dec = SpectralDecomposition(vals, frame)
     scale = 1.0 + frobenius(m)
     floor = 16 * m.shape[0] * np.finfo(float).eps
     residual = frobenius(m - (frame * vals) @ frame.T)
-    if residual > max(tol, floor) * scale or residual > EIG_RESIDUAL_TOL * scale:
+    if residual > min(max(1e-12, floor), EIG_RESIDUAL_TOL) * scale:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds contract at dim {m.shape[0]}"
         )
     return dec
 
 
-def svd(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition M = U diag(s) V^T.
 
     Returns (s, U, V) with s nonincreasing and nonnegative.  The reconstruction
     residual contract is SVD_RESIDUAL_TOL * (1 + ||M||_F).
     """
     mat = as_matrix(m)
-    tol = _check_tol(tol)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     # Sign canonicalization must flip U columns and V columns together so the
     # product U diag(s) V^T is unchanged.

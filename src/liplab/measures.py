@@ -145,8 +145,11 @@ def row_blocks(rows: int, cols: int):
 def materialize(kop: WeightedKernelOperator) -> np.ndarray:
     """Matrix of the operator between the orthonormal atom bases.
 
-    Built in row blocks, so the only full-size array is the result.
+    Built in row blocks, so the only full-size array is the result.  Raises
+    ValidationError if f is non-finite at an atom, where the matrix would be NaN.
     """
+    if not np.all(np.isfinite(kop.f(np.r_[kop.mu.positions, kop.nu.positions]))):
+        raise ValidationError(f"{kop.f.name} is non-finite at an atom of the operator")
     left = np.sqrt(kop.mu.masses) * kop.phi
     right = kop.psi * np.sqrt(kop.nu.masses)
     out = np.empty((kop.mu.size, kop.nu.size))

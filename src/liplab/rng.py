@@ -55,35 +55,33 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * signs
 
 
-def random_prescribed_spectrum(rng: np.random.Generator, dim: int,
-                               trace_norm: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(T, sigma): random rotations of a random nonnegative spectrum with sum sigma = trace_norm."""
+def random_prescribed_spectrum(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, sigma): random rotations of a random nonnegative spectrum with sum sigma = 1."""
     sigma = np.sort(rng.uniform(0.0, 1.0, dim))[::-1]
     total = float(np.sum(sigma))
     if total == 0.0:
         sigma = np.full(dim, 1.0 / dim)
         total = 1.0
-    sigma = sigma * (trace_norm / total)
+    sigma = sigma * (1.0 / total)
     t = (random_orthogonal(rng, dim) * sigma) @ random_orthogonal(rng, dim).T
     return t, sigma
 
 
 def random_kernel_operator(rng: np.random.Generator, f: LipschitzFunction,
-                           mu_atoms: int, nu_atoms: int, radius: float = 3.0,
-                           spike_fraction: float = 0.05) -> WeightedKernelOperator:
-    """Random atoms in [-radius, radius] with occasional boosted weights.
+                           mu_atoms: int, nu_atoms: int) -> WeightedKernelOperator:
+    """Random atoms in [-3, 3] with occasional boosted weights.
 
-    A spike_fraction share of atoms gets its weight multiplied by a factor in
-    [3, 10] so that heavy-atom masking is regularly exercised.
+    A 5% share of atoms gets its weight multiplied by a factor in [3, 10] so
+    that heavy-atom masking is regularly exercised.
     """
 
     def side(count):
-        pos = rng.uniform(-radius, radius, count)
+        pos = rng.uniform(-3.0, 3.0, count)
         while np.unique(pos).size != count:  # measure-zero event; redraw for strictness
-            pos = rng.uniform(-radius, radius, count)
+            pos = rng.uniform(-3.0, 3.0, count)
         masses = rng.uniform(0.5, 1.5, count) / count
         weights = rng.standard_normal(count)
-        spikes = rng.random(count) < spike_fraction
+        spikes = rng.random(count) < 0.05
         weights = np.where(spikes, weights * rng.uniform(3.0, 10.0, count), weights)
         return pos, masses, weights
 

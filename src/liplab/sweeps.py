@@ -22,14 +22,13 @@ from typing import Callable
 
 import numpy as np
 
-from .certificate import build_certificates, verify_certificate
+from .certificate import certify
 from .doi import birman_solomyak_delta, bs_residual_bound, doi_apply, rank_one_perturb
 from .errors import SoundnessError, ValidationError, checked
 from .functions import LipschitzFunction, function_from_spec
 from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
                      s_omega_norm, weak_s1_quasinorm)
 from .linalg import eigh_symmetric, frobenius
-from .measures import materialize
 from .rng import (make_rng, random_kernel_operator, random_prescribed_spectrum,
                   random_symmetric, random_unit)
 
@@ -160,7 +159,7 @@ def _rank_one(rng, f: LipschitzFunction, dim: int, cfg: SweepConfig):
     row = {
         "lip": f.lip, "perturbation": c, "weak_s1": weak, "rho": _ratio(weak, denom),
         "doi_weak_s1": doi_weak,
-        "rho_doi": _ratio(doi_weak, f.lip * float(singular_spectrum(t)[0])),
+        "rho_doi": _ratio(doi_weak, f.lip * frobenius(t)),  # ||T|| = ||T||_F at rank one
         "bs_residual": residual, "degenerate": int(denom == 0.0),
     }
     return row, spec
@@ -219,13 +218,10 @@ def _certificate(rng, f: LipschitzFunction, atoms: int, cfg: SweepConfig):
     and max_n(n * s_{7n}) are reported.  An unsound certificate aborts the
     sweep (it signals an implementation bug).
     """
-    kop = random_kernel_operator(rng, f, atoms, atoms)
-    m = materialize(kop)
-    spectrum = singular_spectrum(m)
+    spectrum, results = certify(random_kernel_operator(rng, f, atoms, atoms), cfg.n_values)
     row = {}
     k_bound = k_direct = 0.0
-    for n, cert in zip(cfg.n_values, build_certificates(kop, cfg.n_values, matrix=m)):
-        report = verify_certificate(kop, cert, spectrum=spectrum)
+    for n, (cert, report) in zip(cfg.n_values, results):
         s7n = singular_value_at(spectrum, 7 * n)
         k_bound = max(k_bound, n * cert.empirical_bound)
         k_direct = max(k_direct, n * s7n)

@@ -13,10 +13,20 @@ import math
 import numpy as np
 
 from liplab.certificate import (DEFECT_ANGLE_TOL, IntervalPartition, heavy_atoms, mask,
-                                normalize, partition, taylor_defects, truncation_radius)
+                                normalize, partition, taylor_defects)
 from liplab.errors import ValidationError
+from liplab.functions import LipschitzFunction
 from liplab.linalg import frobenius
 from liplab.measures import WeightedKernelOperator, materialize
+
+
+def estimate_lip_seminorm(f: LipschitzFunction, grid) -> float:
+    """Max slope over consecutive distinct grid points; a lower bound for lip."""
+    pts = np.unique(np.asarray(grid, dtype=float))
+    if pts.size < 2:
+        raise ValidationError("lip estimation needs at least 2 distinct grid points")
+    vals = np.asarray(f(pts), dtype=float)
+    return float(np.max(np.abs(np.diff(vals)) / np.diff(pts)))
 
 
 def orthonormal_columns(vectors, dim: int, rel_tol: float = 1e-10) -> np.ndarray:
@@ -132,7 +142,7 @@ def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     original operator's scale, as in WeakDecayCertificate.
     """
     unit, scale = normalize(kop)
-    radius = truncation_radius(unit, n)
+    radius = unit.support_radius
     trunc = truncate(unit, radius)
     hx = heavy_atoms(trunc.mu, trunc.phi, n)
     hy = heavy_atoms(trunc.nu, trunc.psi, n)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from liplab.certificate import (IntervalPartition, build_certificate, build_certificates,
-                                diag_weight_bound, flat_bound, heavy_atoms, mask, normalize,
-                                partition, read_certificate, split_blocks, taylor_defects,
-                                truncation_radius, verify_certificate, write_certificate)
+                                certify, diag_weight_bound, flat_bound, heavy_atoms, mask,
+                                normalize, partition, read_certificate, split_blocks,
+                                taylor_defects, verify_certificate, write_certificate)
 from liplab.errors import (CertificateUnsoundError, PartitionInfeasibleError,
                            ValidationError)
 from liplab.functions import absolute_value, clamp_function, constant_function, piecewise_linear
-from liplab.ideals import singular_value_at
+from liplab.ideals import singular_spectrum, singular_value_at
 from liplab.linalg import frobenius
 from liplab.measures import discrete_measure, kernel_operator, materialize
 from liplab.rng import make_rng, random_kernel_operator
@@ -26,7 +26,7 @@ def masked_instance(seed, atoms, n, f=None):
     rng = make_rng(seed, 900)
     kop = random_kernel_operator(rng, f or absolute_value(), atoms, atoms)
     unit, _ = normalize(kop)
-    radius = truncation_radius(unit, n)
+    radius = unit.support_radius
     hx = heavy_atoms(unit.mu, unit.phi, n)
     hy = heavy_atoms(unit.nu, unit.psi, n)
     masked = mask(unit, hx, hy)
@@ -74,12 +74,10 @@ def test_normalize_rejects_degenerate():
 def test_truncation_radius_is_support_radius():
     rng = make_rng(41, 0)
     kop = random_kernel_operator(rng, absolute_value(), 30, 30)
-    unit, _ = normalize(kop)
-    radius = truncation_radius(unit, 4)
-    assert radius == unit.support_radius <= 3.0
-    assert truncation_tail_hs(unit, radius) == 0.0
-    # n = 1: any window with tail < 1 would do; still returns the support radius.
-    assert truncation_radius(unit, 1) == unit.support_radius
+    # n = 1: any window with tail < 1 would do; still the support radius.
+    for n in (1, 4):
+        assert build_certificate(kop, n).truncation_radius == kop.support_radius <= 3.0
+    assert truncation_tail_hs(kop, kop.support_radius) == 0.0
 
 
 def test_truncation_tail_matches_double_sum_oracle():
@@ -298,7 +296,7 @@ def test_taylor_defects_parallel_when_f_constant_on_interval():
     kop = kernel_operator(pos, np.full(12, 1 / 12), np.ones(12),
                           pos + 1e-4, np.full(12, 1 / 12), np.ones(12), clamp_function())
     unit, _ = normalize(kop)
-    part = partition(unit, 4, truncation_radius(unit, 4))
+    part = partition(unit, 4, unit.support_radius)
     vecs = taylor_defects(part, unit, "column")
     basis = orthonormal_columns(vecs, unit.nu.size)
     idx = part.interval_of(unit.nu.positions)
@@ -504,14 +502,16 @@ def test_build_certificates_matches_dense_oracle():
 def test_build_certificates_shares_one_matrix():
     rng = make_rng(67, 0)
     kop = random_kernel_operator(rng, absolute_value(), 30, 40)
-    m = materialize(kop)
-    shared = build_certificates(kop, [2, 8], matrix=m)
-    assert [c.residual_hs for c in shared] == [build_certificate(kop, n).residual_hs
-                                               for n in (2, 8)]
-    with pytest.raises(ValidationError):
-        build_certificates(kop, [2], matrix=m[:, :-1])
+    single = [build_certificate(kop, n).residual_hs for n in (2, 8)]
+    assert [c.residual_hs for c in build_certificates(kop, [2, 8])] == single
+    spectrum, results = certify(kop, [2, 8])
+    assert [cert.residual_hs for cert, _ in results] == single
+    assert all(report.passed for _, report in results)
+    np.testing.assert_array_equal(spectrum, singular_spectrum(materialize(kop)))
     with pytest.raises(ValidationError):
         build_certificates(kop, [])
+    with pytest.raises(ValidationError):
+        certify(kop, [])
 
 
 def test_verify_zero_operator():

@@ -1,12 +1,16 @@
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liplab import measures, sweeps
 from liplab.cli import main
-from liplab.functions import absolute_value
+from liplab.functions import absolute_value, function_from_spec
 from liplab.linalg import read_matrix, write_matrix
 from liplab.measures import write_kernel_operator
 from liplab.rng import make_rng, random_kernel_operator
@@ -145,6 +149,99 @@ def test_unwritable_matrix_output_exits_2(matrices):
 def test_bad_function_parameters_exit_2(matrices, spec):
     assert main(["fdelta", "--function", spec,
                  str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
+
+
+def test_function_non_finite_at_data_exits_2(matrices):
+    # sqrt(x^2 + delta^2) overflows to inf for every x.
+    spec = '{"kind": "smooth_ramp", "delta": 1e200}'
+    assert main(["fdelta", "--function", spec,
+                 str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
+    op_path = matrices / "kop.txt"
+    write_kernel_operator(op_path, random_kernel_operator(
+        make_rng(8, 0), function_from_spec(json.loads(spec)), 10, 10))
+    assert main(["certify", "--input", str(op_path), "--n", "2"]) == 2
+    for experiment in ("rank_one", "certificate"):
+        cfg_path = matrices / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": experiment, "dimensions": [4],
+                                        "ensemble": 1, "seed": 0,
+                                        "function": json.loads(spec), "n_values": [2]}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+
+
+_NUMBERS = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
+_FUNCTIONS = st.one_of(
+    st.sampled_from([{"kind": k} for k in ("abs", "clamp", "identity", "smooth_ramp",
+                                           "constant")]),
+    st.builds(lambda t: {"kind": "shifted_abs", "t": t}, _NUMBERS),
+    st.builds(lambda d: {"kind": "smooth_ramp", "delta": d}, _NUMBERS),
+    st.builds(lambda c: {"kind": "constant", "c": c}, _NUMBERS),
+    st.builds(lambda b, seed: {"kind": "pwl", "breakpoints": b, "seed": seed},
+              st.lists(_NUMBERS, min_size=1, max_size=5),
+              st.integers(-2 ** 63 + 1, 2 ** 63 - 1)),
+)
+
+
+@st.composite
+def _matrix_text(draw, dim):
+    rows = [" ".join(repr(draw(_NUMBERS)) for _ in range(dim)) for _ in range(dim)]
+    return f"{dim} {dim}\n" + "\n".join(rows) + "\n"
+
+
+@st.composite
+def _operator_text(draw):
+    lines = []
+    for side in ("MU", "NU"):
+        positions = draw(st.lists(_NUMBERS, min_size=1, max_size=4, unique=True))
+        lines.append(side)
+        lines += [f"{x!r} {draw(_NUMBERS)!r} {draw(_NUMBERS)!r}" for x in positions]
+    return "\n".join(lines + ["FUNCTION", json.dumps(draw(_FUNCTIONS))]) + "\n"
+
+
+_N_LISTS = st.lists(st.integers(-1, 12), max_size=4).map(lambda ns: ",".join(map(str, ns)))
+_SWEEPS = st.fixed_dictionaries({
+    "experiment": st.sampled_from(sweeps.EXPERIMENTS),
+    "dimensions": st.lists(st.integers(1, 6), min_size=1, max_size=2),
+    "ensemble": st.integers(1, 2),
+    "seed": st.integers(0, 2 ** 32),
+    "function": _FUNCTIONS,
+    "p": st.floats(0.5, 3.0), "epsilon": st.floats(-0.5, 1.0),
+    "n_values": st.lists(st.integers(1, 3), min_size=1, max_size=2),
+})
+
+
+@st.composite
+def _calls(draw):
+    """A command with the files it reads: (argv with {dir} placeholders, {name: text})."""
+    command = draw(st.sampled_from(["fdelta", "doi", "bscheck", "certify", "sweep"]))
+    if command == "certify":
+        return ["certify", "--input", "{dir}/kop.txt", f"--n={draw(_N_LISTS)}"], {
+            "kop.txt": draw(_operator_text())}
+    if command == "sweep":
+        return ["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": json.dumps(draw(_SWEEPS))}
+    dim = draw(st.integers(1, 4))
+    names = ["A.txt", "B.txt", "T.txt"][:3 if command == "doi" else 2]
+    files = {name: draw(_matrix_text(dim)) for name in names}
+    return [command, "--function", json.dumps(draw(_FUNCTIONS)),
+            *(f"{{dir}}/{name}" for name in names)], files
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme inputs overflow
+@settings(max_examples=400, deadline=None)
+@given(_calls())
+@example((["fdelta", "--function", '{"kind": "smooth_ramp", "delta": 1e200}',
+           "{dir}/A.txt", "{dir}/B.txt"], {"A.txt": "1 1\n0.5\n", "B.txt": "1 1\n2.0\n"}))
+@example((["fdelta", "--function", '{"kind": "abs"}', "{dir}/A.txt", "{dir}/B.txt"],
+          {"A.txt": "4 4\n" + "0 0 0 0\n" * 4,  # LAPACK's eigh fails on this B
+           "B.txt": "4 4\n0 0 0 0\n4.711788499328808e+227 0 0 0\n0 0 0 0\n0 1 1 0\n"}))
+@example((["certify", "--input", "{dir}/kop.txt", "--n", "2"],
+          {"kop.txt": "MU\n0.5 1.0 1.0\n1.5 1.0 1.0\nNU\n-1.0 1.0 1.0\n2.0 1.0 1.0\n"
+                      'FUNCTION\n{"kind": "smooth_ramp", "delta": 1e200}\n'}))
+def test_cli_fuzz_exits_0_2_or_3(call):
+    argv, files = call
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        assert main([arg.replace("{dir}", tmp) for arg in argv]) in (0, 2, 3)
 
 
 def test_sweep_command_deterministic(tmp_path):

@@ -4,11 +4,11 @@ import pytest
 from liplab.errors import EvaluationError, ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
                               clamp_function, constant_function, default_suite,
-                              divided_difference, estimate_lip_seminorm,
-                              function_from_spec, identity_function, loewner_matrix,
-                              piecewise_linear, shifted_absolute, smooth_ramp)
+                              divided_difference, function_from_spec, identity_function,
+                              loewner_matrix, piecewise_linear, shifted_absolute, smooth_ramp)
 from liplab.linalg import eigh_symmetric, frobenius
 from liplab.rng import make_rng, random_symmetric
+from oracles import estimate_lip_seminorm
 
 
 def test_suite_lipschitz_property():

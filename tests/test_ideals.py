@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liplab.errors import ValidationError
-from liplab.ideals import (as_spectrum, harmonic_log_gap, read_spectrum, s_Omega_norm,
-                           s_omega_norm, schatten_norm, singular_spectrum,
-                           singular_value_at, weak_s1_quasinorm, write_spectrum)
+from liplab.ideals import (as_spectrum, harmonic_log_gap, s_Omega_norm, s_omega_norm,
+                           schatten_norm, singular_spectrum, singular_value_at,
+                           weak_s1_quasinorm)
 from liplab.rng import make_rng
 
 
@@ -140,12 +140,3 @@ def test_as_spectrum_validation():
     fixed = as_spectrum([1.0, 1.0 + 1e-12, 0.5])
     assert np.all(np.diff(fixed) <= 0)
 
-
-def test_spectrum_io(tmp_path):
-    path = tmp_path / "s.txt"
-    spec = np.array([2.5, 1.0, 1.0, 0.25])
-    write_spectrum(path, spec)
-    np.testing.assert_array_equal(read_spectrum(path), spec)
-    path.write_text("1.0\n2.0\n")
-    with pytest.raises(ValidationError):
-        read_spectrum(path)

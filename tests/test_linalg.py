@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liplab.errors import ValidationError
+from liplab.errors import ConvergenceError, ValidationError
 from liplab.linalg import (EIG_RESIDUAL_TOL, ORTHONORMALITY_TOL, SVD_RESIDUAL_TOL,
                            SpectralDecomposition, as_symmetric, eigh_symmetric, frobenius,
                            read_matrix, svd, write_matrix)
@@ -30,11 +30,16 @@ def test_eigh_rejects_bad_input():
     with pytest.raises(ValidationError):
         eigh_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
-        eigh_symmetric(np.eye(2), tol=1e-3)
-    with pytest.raises(ValidationError):
-        eigh_symmetric(np.eye(2), tol=1e-16)
-    with pytest.raises(ValidationError):
         eigh_symmetric(np.ones((2, 3)))
+
+
+def test_eigh_lapack_failure_is_convergence_error(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceError):
+        eigh_symmetric(np.eye(2))
 
 
 @pytest.mark.parametrize("dim", [2, 8, 32])
