@@ -8,8 +8,8 @@ kernel operators on discrete measures.
 
 from .certificate import (IntervalPartition, WeakDecayCertificate, build_certificate,
                           build_certificates, certify, flat_bound, heavy_atoms, mask,
-                          normalize, partition, read_certificate, split_blocks,
-                          taylor_defects, verify_certificate, write_certificate)
+                          normalize, partition, split_blocks, taylor_defects,
+                          verify_certificate)
 from .doi import check_birman_solomyak, doi_apply, f_delta, rank_one_perturb
 from .errors import (CertificateUnsoundError, ConvergenceError, EvaluationError,
                      PartitionInfeasibleError, SoundnessError, ValidationError)
@@ -24,7 +24,6 @@ from .measures import (DiscreteMeasure, WeightedKernelOperator, discrete_measure
                        kernel_operator, materialize, read_kernel_operator,
                        write_kernel_operator)
 from .rng import make_rng, random_kernel_operator, random_orthogonal, random_symmetric
-from .sweeps import (ExperimentReport, SweepConfig, emit_report, load_config,
-                     read_report, run_sweep)
+from .sweeps import ExperimentReport, SweepConfig, emit_report, load_config, run_sweep
 
 __version__ = "0.1.0"

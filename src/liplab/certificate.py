@@ -28,15 +28,13 @@ multiplied back in).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (CertificateUnsoundError, PartitionInfeasibleError, ValidationError,
-                     checked)
+from .errors import CertificateUnsoundError, PartitionInfeasibleError, ValidationError
 from .ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
 from .measures import DiscreteMeasure, WeightedKernelOperator, materialize, row_blocks
 
@@ -416,6 +414,7 @@ def build_certificates(kop: WeightedKernelOperator, n_values) -> list:
     defect-vector spans, and an extra codimension n converts the HS norm into
     the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).
     """
+    n_values = _checked_n_values(n_values)
     return _certificates(kop, n_values, materialize(kop))
 
 
@@ -426,6 +425,7 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
     VerificationReport) pair per n.  Raises CertificateUnsoundError if a
     certificate fails verification.
     """
+    n_values = _checked_n_values(n_values)
     m = materialize(kop)
     # SVD first: its workspace and the certificates' defect vectors never coexist.
     spectrum = singular_spectrum(m)
@@ -433,11 +433,16 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
                       for cert in _certificates(kop, n_values, m)]
 
 
-def _certificates(kop: WeightedKernelOperator, n_values, m: np.ndarray) -> list:
-    """The certificates of build_certificates, given m = materialize(kop)."""
+def _checked_n_values(n_values) -> list:
+    """n_values as a list, checked before any O(d^3) work is spent on them."""
     n_values = list(n_values)
     if not n_values or min(n_values) < 1:
         raise ValidationError(f"n values must be a nonempty list of integers >= 1: {n_values!r}")
+    return n_values
+
+
+def _certificates(kop: WeightedKernelOperator, n_values: list, m: np.ndarray) -> list:
+    """The certificates of build_certificates, given m = materialize(kop)."""
     if kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0:
         # Identically zero kernel: certify rank 0 directly.
         radius = kop.support_radius
@@ -525,24 +530,24 @@ def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, 
     if spectrum is None:
         spectrum = singular_spectrum(materialize(kop))
     s_r = singular_value_at(spectrum, cert.defect_rank)
-    if s_r > cert.empirical_bound + VERIFY_TOL:
+    if not s_r <= cert.empirical_bound + VERIFY_TOL:
         raise CertificateUnsoundError(
             f"s_{cert.defect_rank} violates the certified bound",
             observed=s_r, allowed=cert.empirical_bound + VERIFY_TOL,
         )
-    if cert.empirical_bound > cert.analytic_bound + VERIFY_TOL:
+    if not cert.empirical_bound <= cert.analytic_bound + VERIFY_TOL:
         raise CertificateUnsoundError(
             "empirical bound exceeds the analytic bound",
             observed=cert.empirical_bound, allowed=cert.analytic_bound + VERIFY_TOL,
         )
-    if cert.defect_rank > 7 * cert.n:
+    if not cert.defect_rank <= 7 * cert.n:
         raise CertificateUnsoundError(
             "defect rank exceeds 7n", observed=cert.defect_rank, allowed=7 * cert.n
         )
     weak = weak_s1_quasinorm(spectrum)
     product = kop.norm_product
     allowed = WEAK_NORM_CONSTANT * product + VERIFY_TOL
-    if weak > allowed:
+    if not weak <= allowed:
         raise CertificateUnsoundError(
             "weak quasinorm exceeds the reported constant times the norm product",
             observed=weak, allowed=allowed,
@@ -585,57 +590,3 @@ def certificate_to_dict(cert: WeakDecayCertificate, include_vectors: bool = Fals
             "row": [[float(x) for x in v] for v in cert.row_defects],
         }
     return out
-
-
-def write_certificate(path, cert: WeakDecayCertificate, include_vectors: bool = False) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(certificate_to_dict(cert, include_vectors), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write certificate to {path}: {exc}") from exc
-
-
-def read_certificate(path) -> WeakDecayCertificate:
-    """Load a certificate written by write_certificate.
-
-    Every required field must be present with the type write_certificate
-    gives it (numbers finite); anything else raises ValidationError.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read certificate from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"certificate file {path} is not valid JSON: {exc}") from exc
-
-    def field(source, key, kind, default=None):
-        if key not in source and default is None:
-            raise ValidationError(f"certificate file {path}: missing field {key!r}")
-        return checked(source.get(key, default), kind, f"certificate file {path}: field {key!r}")
-
-    data = checked(data, dict, f"certificate file {path}")
-    part = field(data, "partition", dict)
-    vectors = field(data, "defect_vectors", dict, {"column": [], "row": []})
-    components = field(data, "components", dict, {})
-    return WeakDecayCertificate(
-        n=field(data, "n", int),
-        truncation_radius=field(data, "truncation_radius", float),
-        heavy_x=np.asarray(field(data, "heavy_x", [int]), dtype=int),
-        heavy_y=np.asarray(field(data, "heavy_y", [int]), dtype=int),
-        partition=IntervalPartition(
-            np.asarray(field(part, "edges", [float]), dtype=float),
-            np.asarray(field(part, "phi_weights", [float]), dtype=float),
-            np.asarray(field(part, "psi_weights", [float]), dtype=float),
-            field(part, "n", int),
-        ),
-        column_defects=[np.asarray(v) for v in field(vectors, "column", [[float]])],
-        row_defects=[np.asarray(v) for v in field(vectors, "row", [[float]])],
-        defect_rank=field(data, "defect_rank", int),
-        residual_hs=field(data, "residual_hs", float),
-        empirical_bound=field(data, "empirical_bound", float),
-        analytic_bound=field(data, "analytic_bound", float),
-        scale=field(data, "scale", float),
-        components={k: field(components, k, float) for k in components},
-    )

@@ -10,13 +10,13 @@ S2 Schur-multiplier bound violated).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from .certificate import certificate_to_dict, certify
 from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
-from .errors import ConvergenceError, EvaluationError, SoundnessError, ValidationError
+from .errors import (ConvergenceError, EvaluationError, SoundnessError, ValidationError,
+                     json_text, parse_json, read_json, write_text)
 from .functions import function_from_spec
 from .linalg import eigh_symmetric, matrix_text, read_matrix, write_matrix
 from .measures import read_kernel_operator
@@ -25,19 +25,8 @@ from .sweeps import emit_report, load_config, run_sweep
 
 def _load_function(arg: str):
     if arg.lstrip().startswith("{"):
-        try:
-            spec = json.loads(arg)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad inline function JSON: {exc}") from exc
-    else:
-        try:
-            with open(arg) as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read function spec {arg}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"function spec {arg} is not valid JSON: {exc}") from exc
-    return function_from_spec(spec)
+        return function_from_spec(parse_json(arg, "inline function spec"))
+    return function_from_spec(read_json(arg, "function spec"))
 
 
 def _cmd_fdelta(args) -> int:
@@ -82,10 +71,8 @@ def _cmd_certify(args) -> int:
     kop = read_kernel_operator(args.input)
     try:
         n_values = [int(x) for x in args.n.split(",") if x.strip()]
-    except ValueError:
-        n_values = []
-    if not n_values or any(n < 1 for n in n_values):
-        raise ValidationError(f"--n must be a comma-separated list of positive integers: {args.n!r}")
+    except ValueError as exc:
+        raise ValidationError(f"--n must be comma-separated integers: {args.n!r}") from exc
     records = []
     for cert, report in certify(kop, n_values)[1]:
         record = certificate_to_dict(cert, include_vectors=args.include_vectors)
@@ -99,13 +86,9 @@ def _cmd_certify(args) -> int:
         records.append(record)
         print(f"n={cert.n}: s_{cert.defect_rank} <= {cert.empirical_bound!r} "
               f"(observed {report.singular_value!r}) OK")
-    payload = json.dumps({"certificates": records}, indent=2, sort_keys=True) + "\n"
+    payload = json_text({"certificates": records})
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {args.out}: {exc}") from exc
+        write_text(args.out, payload, "certificate file")
     else:
         print(payload, end="")
     return 0
@@ -120,7 +103,7 @@ def _cmd_sweep(args) -> int:
         emit_report(report, cfg.out, cfg.format)
         print(f"wrote {cfg.out}")
     else:
-        print(json.dumps(report.summary, indent=2, sort_keys=True))
+        print(json_text(report.summary), end="")
     return 0
 
 

@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the check of JSON input values."""
+"""Exception types shared across the package, the check of JSON input values,
+and every file access: reads and writes map their failures to ValidationError.
+"""
 
+import json
 import numbers
 import reprlib
 import sys
@@ -26,6 +29,40 @@ def checked(value, kind, where: str):
           and abs(value) <= (2 ** 63 - 1 if kind is int else sys.float_info.max)):
         return kind(value)
     raise ValidationError(f"{where} has the wrong type or value: {reprlib.repr(value)}")
+
+
+def read_text(path, what: str) -> str:
+    """The contents of the UTF-8 text file at path, or a ValidationError naming what."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_json(text: str, where: str):
+    """The JSON value in text, or a ValidationError naming where."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ValidationError(f"{where} is not valid JSON: {exc}") from exc
+
+
+def read_json(path, what: str):
+    return parse_json(read_text(path, what), f"{what} {path}")
+
+
+def write_text(path, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def json_text(value) -> str:
+    """The one JSON output form: indent 2, sorted keys, a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class EvaluationError(ValueError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, read_text, write_text
 
 # Frame orthonormality tolerance, per unit of dimension.
 ORTHONORMALITY_TOL = 1e-12
@@ -41,7 +41,19 @@ def as_symmetric(a) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float), "fro"))
+    """Frobenius norm; rescaled by max |a_ij| when the plain sum of squares overflows.
+
+    Raises ValidationError if a finite matrix has a norm beyond the float range.
+    """
+    m = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m, "fro"))
+        if norm == np.inf and np.all(np.isfinite(m)):
+            top = np.abs(m).max()
+            norm = float(top * np.linalg.norm(m / top, "fro"))
+            if norm == np.inf:
+                raise ValidationError("Frobenius norm exceeds the float range")
+    return norm
 
 
 def _canonical_signs(frame: np.ndarray) -> np.ndarray:
@@ -145,21 +157,12 @@ def matrix_text(m) -> str:
 
 def write_matrix(path, m) -> None:
     """Write a matrix in the text format of matrix_text."""
-    text = matrix_text(m)
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write matrix file {path}: {exc}") from exc
+    write_text(path, matrix_text(m), "matrix file")
 
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix from the text format; accepts scientific notation."""
-    try:
-        with open(path) as fh:
-            raw = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
+    raw = [line.strip() for line in read_text(path, "matrix file").split("\n") if line.strip()]
     if not raw:
         raise ValidationError(f"matrix file {path} is empty")
     head = raw[0].split()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_json, read_text, write_text
 from .functions import LipschitzFunction, function_from_spec, loewner_matrix
 
 # Entries per row block of the dense kernel passes: a block and its temporaries
@@ -45,7 +45,7 @@ class DiscreteMeasure:
             raise ValidationError("measure has non-finite atoms")
         if np.any(mass <= 0):
             raise ValidationError("all masses must be positive")
-        if np.any(np.diff(pos) <= 0):
+        if np.any(pos[1:] <= pos[:-1]):  # no subtraction: it overflows at +-1e308
             raise ValidationError("positions must be strictly increasing after canonical sort")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", mass)
@@ -146,10 +146,17 @@ def materialize(kop: WeightedKernelOperator) -> np.ndarray:
     """Matrix of the operator between the orthonormal atom bases.
 
     Built in row blocks, so the only full-size array is the result.  Raises
-    ValidationError if f is non-finite at an atom, where the matrix would be NaN.
+    ValidationError where an entry could be NaN: f non-finite at an atom, or
+    x - y or f(x) - f(y) overflowing to inf / inf.
     """
-    if not np.all(np.isfinite(kop.f(np.r_[kop.mu.positions, kop.nu.positions]))):
+    positions = np.r_[kop.mu.positions, kop.nu.positions]
+    values = kop.f(positions)
+    if not np.all(np.isfinite(values)):
         raise ValidationError(f"{kop.f.name} is non-finite at an atom of the operator")
+    with np.errstate(over="ignore"):
+        spreads = [np.ptp(v) for v in (positions, values) if v.size]
+    if not np.all(np.isfinite(spreads)):
+        raise ValidationError(f"atoms or their {kop.f.name} values spread beyond the float range")
     left = np.sqrt(kop.mu.masses) * kop.phi
     right = kop.psi * np.sqrt(kop.nu.masses)
     out = np.empty((kop.mu.size, kop.nu.size))
@@ -170,16 +177,11 @@ def write_kernel_operator(path, kop: WeightedKernelOperator) -> None:
     if not kop.f.spec:
         raise ValidationError(f"function {kop.f.name} has no serializable spec")
     lines.append(json.dumps(kop.f.spec, sort_keys=True))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n", "operator file")
 
 
 def read_kernel_operator(path) -> WeightedKernelOperator:
-    try:
-        with open(path) as fh:
-            raw = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read operator file {path}: {exc}") from exc
+    raw = [line.strip() for line in read_text(path, "operator file").split("\n") if line.strip()]
     sections: dict[str, list[str]] = {}
     current = None
     for line in raw:
@@ -210,8 +212,5 @@ def read_kernel_operator(path) -> WeightedKernelOperator:
     yp, ym, psi = parse_atoms(sections["NU"], "NU")
     if len(sections["FUNCTION"]) != 1:
         raise ValidationError(f"operator file {path}: FUNCTION section must be one JSON line")
-    try:
-        fspec = json.loads(sections["FUNCTION"][0])
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"operator file {path}: bad function JSON: {exc}") from exc
+    fspec = parse_json(sections["FUNCTION"][0], f"operator file {path}: FUNCTION line")
     return kernel_operator(xp, xm, phi, yp, ym, psi, function_from_spec(fspec))

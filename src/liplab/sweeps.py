@@ -15,7 +15,6 @@ SoundnessError, which the CLI turns into exit 3.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
@@ -24,7 +23,7 @@ import numpy as np
 
 from .certificate import certify
 from .doi import birman_solomyak_delta, bs_residual_bound, doi_apply, rank_one_perturb
-from .errors import SoundnessError, ValidationError, checked
+from .errors import SoundnessError, ValidationError, checked, json_text, read_json, write_text
 from .functions import LipschitzFunction, function_from_spec
 from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
                      s_omega_norm, weak_s1_quasinorm)
@@ -88,15 +87,7 @@ def load_config(source) -> SweepConfig:
     if isinstance(source, dict):
         data = dict(source)
     else:
-        try:
-            with open(source) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config {source} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError(f"config {source} must hold a JSON object")
+        data = checked(read_json(source, "config"), dict, f"config {source}")
     known = {f.name for f in SweepConfig.__dataclass_fields__.values()}
     unknown = set(data) - known
     if unknown:
@@ -320,12 +311,11 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _write_csv(path, columns, rows) -> None:
+def _csv_text(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_format_value(row[c]) for c in columns))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(report: ExperimentReport, path: str, format: str = "csv") -> None:
@@ -334,35 +324,12 @@ def emit_report(report: ExperimentReport, path: str, format: str = "csv") -> Non
     CSV carries the per-instance rows only (summary lives in the JSON form);
     decay curves, when present, go to a sibling '<path>.curves.csv'.
     """
-    if format not in ("csv", "json"):
+    if format == "json":
+        write_text(path, json_text(asdict(report)), "report")
+    elif format == "csv":
+        write_text(path, _csv_text(report.columns, report.rows), "report")
+        if report.curves:
+            write_text(f"{path}.curves.csv",
+                       _csv_text(["label", "j", "s_j", "weighted"], report.curves), "report")
+    else:
         raise ValidationError(f"format must be 'csv' or 'json', got {format!r}")
-    try:
-        if format == "csv":
-            _write_csv(path, report.columns, report.rows)
-            if report.curves:
-                _write_csv(str(path) + ".curves.csv", ["label", "j", "s_j", "weighted"],
-                           report.curves)
-        else:
-            with open(path, "w") as fh:
-                json.dump(asdict(report), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write report to {path}: {exc}") from exc
-
-
-def read_report(path: str) -> ExperimentReport:
-    """Read back a JSON report (the round-trip inverse of emit_report)."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read report from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"report file {path} is not valid JSON: {exc}") from exc
-    return ExperimentReport(
-        experiment=data["experiment"],
-        columns=list(data["columns"]),
-        rows=list(data["rows"]),
-        summary=data["summary"],
-        curves=list(data.get("curves", [])),
-    )

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -9,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liplab import measures, sweeps
+from liplab.certificate import build_certificates, certify
 from liplab.cli import main
+from liplab.errors import ValidationError
 from liplab.functions import absolute_value, function_from_spec
 from liplab.linalg import read_matrix, write_matrix
 from liplab.measures import write_kernel_operator
@@ -103,7 +106,9 @@ def test_certify_bad_n(tmp_path):
     assert main(["certify", "--input", str(op_path), "--n", "4,2.5"]) == 2
 
 
-def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch):
+@pytest.fixture
+def materialize_calls(monkeypatch):
+    """The operators passed to materialize, through any liplab module, in this test."""
     calls = []
     original = measures.materialize
 
@@ -114,6 +119,11 @@ def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("liplab") and getattr(module, "materialize", None) is original:
             monkeypatch.setattr(module, "materialize", counting)
+    return calls
+
+
+def test_certify_and_certificate_sweep_materialize_once(tmp_path, materialize_calls):
+    calls = materialize_calls
     kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
     op_path = tmp_path / "kop.txt"
     write_kernel_operator(op_path, kop)
@@ -126,6 +136,26 @@ def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch):
                                     "n_values": [2, 4, 8]}))
     assert main(["sweep", "--config", str(cfg_path)]) == 0
     assert len(calls) == 1 + 4  # one per operator of the 2 x 2 ensemble
+
+
+def test_bad_n_rejected_before_materializing(materialize_calls):
+    kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
+    for call in (certify, build_certificates):
+        with pytest.raises(ValidationError):
+            call(kop, [0])
+    assert materialize_calls == []
+
+
+def test_bscheck_contract_finite_beyond_squared_range(tmp_path, capsys):
+    # Squares of the entries overflow, the Frobenius norms (about 1.1e160) do not.
+    write_matrix(tmp_path / "A.txt", np.array([[1e160, 3e159], [3e159, -2e159]]))
+    write_matrix(tmp_path / "B.txt", np.array([[-2e159, 1e159], [1e159, 1e160]]))
+    assert main(["bscheck", "--function", '{"kind": "abs"}',
+                 str(tmp_path / "A.txt"), str(tmp_path / "B.txt")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    contract = float(out[1].split()[1])
+    assert out[1].startswith("contract ") and math.isfinite(contract) and contract > 0.0
+    assert out[2] == "OK"
 
 
 def test_unwritable_matrix_output_exits_2(matrices):
@@ -211,18 +241,33 @@ _SWEEPS = st.fixed_dictionaries({
 
 @st.composite
 def _calls(draw):
-    """A command with the files it reads: (argv with {dir} placeholders, {name: text})."""
+    """A command with the files it reads: (argv with {dir} placeholders, {name: contents}).
+
+    The function spec is inline or in a file.  Half the calls replace one file's
+    text with raw bytes, mostly not UTF-8.
+    """
     command = draw(st.sampled_from(["fdelta", "doi", "bscheck", "certify", "sweep"]))
     if command == "certify":
-        return ["certify", "--input", "{dir}/kop.txt", f"--n={draw(_N_LISTS)}"], {
-            "kop.txt": draw(_operator_text())}
-    if command == "sweep":
-        return ["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": json.dumps(draw(_SWEEPS))}
-    dim = draw(st.integers(1, 4))
-    names = ["A.txt", "B.txt", "T.txt"][:3 if command == "doi" else 2]
-    files = {name: draw(_matrix_text(dim)) for name in names}
-    return [command, "--function", json.dumps(draw(_FUNCTIONS)),
-            *(f"{{dir}}/{name}" for name in names)], files
+        argv = ["certify", "--input", "{dir}/kop.txt", f"--n={draw(_N_LISTS)}"]
+        files = {"kop.txt": draw(_operator_text())}
+    elif command == "sweep":
+        argv = ["sweep", "--config", "{dir}/cfg.json"]
+        files = {"cfg.json": json.dumps(draw(_SWEEPS))}
+    else:
+        dim = draw(st.integers(1, 4))
+        names = ["A.txt", "B.txt", "T.txt"][:3 if command == "doi" else 2]
+        files = {name: draw(_matrix_text(dim)) for name in names}
+        spec = json.dumps(draw(_FUNCTIONS))
+        if draw(st.booleans()):
+            files["f.json"], spec = spec, "{dir}/f.json"
+        argv = [command, "--function", spec, *(f"{{dir}}/{name}" for name in names)]
+    garbled = draw(st.one_of(st.none(), st.sampled_from(sorted(files))))
+    if garbled is not None:
+        files[garbled] = draw(st.binary())
+    return argv, files
+
+
+_NOT_UTF8 = b"\xff\xfe"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme inputs overflow
@@ -236,11 +281,22 @@ def _calls(draw):
 @example((["certify", "--input", "{dir}/kop.txt", "--n", "2"],
           {"kop.txt": "MU\n0.5 1.0 1.0\n1.5 1.0 1.0\nNU\n-1.0 1.0 1.0\n2.0 1.0 1.0\n"
                       'FUNCTION\n{"kind": "smooth_ramp", "delta": 1e200}\n'}))
+@example((["fdelta", "--function", '{"kind": "abs"}', "{dir}/A.txt", "{dir}/B.txt"],
+          {"A.txt": _NOT_UTF8 + b"1 1\n0.5\n", "B.txt": "1 1\n2.0\n"}))
+@example((["fdelta", "--function", "{dir}/f.json", "{dir}/A.txt", "{dir}/B.txt"],
+          {"f.json": _NOT_UTF8 + b'{"kind": "abs"}', "A.txt": "1 1\n0.5\n",
+           "B.txt": "1 1\n2.0\n"}))
+@example((["certify", "--input", "{dir}/kop.txt", "--n", "2"],
+          {"kop.txt": _NOT_UTF8 + b"MU\n0.5 1.0 1.0\nNU\n-1.0 1.0 1.0\n"
+                      b'FUNCTION\n{"kind": "abs"}\n'}))
+@example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _NOT_UTF8 + b"{}"}))
+@example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": "[" * 100_000}))  # too deep
 def test_cli_fuzz_exits_0_2_or_3(call):
     argv, files = call
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in files.items():
-            Path(tmp, name).write_text(text)
+        for name, contents in files.items():
+            raw = contents if isinstance(contents, bytes) else contents.encode()
+            Path(tmp, name).write_bytes(raw)
         assert main([arg.replace("{dir}", tmp) for arg in argv]) in (0, 2, 3)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,14 @@ def test_eigh_deterministic():
     d2 = eigh_symmetric(a.copy())
     assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
     assert np.array_equal(d1.frame, d2.frame)
+
+
+def test_frobenius_beyond_squared_range():
+    # The entries' squares overflow; the norm itself is far below the float range.
+    a = np.array([[1e160, 3e159], [3e159, -2e159]])
+    assert frobenius(a) == pytest.approx(math.hypot(1e160, 3e159, 3e159, -2e159), rel=1e-15)
+    with pytest.raises(ValidationError):
+        frobenius(np.full((2, 2), 1e308))
 
 
 def test_svd_diagonal_with_negative():
