@@ -8,8 +8,7 @@ kernel operators on discrete measures.
 
 from .certificate import (IntervalPartition, WeakDecayCertificate, build_certificate,
                           build_certificates, certify, flat_bound, heavy_atoms, mask,
-                          normalize, partition, split_blocks, taylor_defects,
-                          verify_certificate)
+                          normalize, partition, split_blocks, verify_certificate)
 from .doi import check_birman_solomyak, doi_apply, f_delta, rank_one_perturb
 from .errors import (CertificateUnsoundError, ConvergenceError, EvaluationError,
                      PartitionInfeasibleError, SoundnessError, ValidationError)

@@ -16,14 +16,16 @@ of M:
      cancels the first-order term of the kernel expanded around interval
      centers and leaves a corrected kernel with entrywise bound
      short/(short + dist).  The defects of an interval live on its atoms, a
-     contiguous slice of the sorted atoms, so they are orthonormalized
-     interval by interval and each projection acts within one interval;
+     contiguous slice of the sorted atoms, so they are built and
+     orthonormalized interval by interval and each projection acts within
+     one interval;
   5. measure the Hilbert-Schmidt norm of what remains, row block by row block.
 
 The result is a pair (r, b) with r <= 7n and s_r(I_k) <= b, verified
-independently against the singular spectrum of M in verify_certificate.  All
-reported bounds are in the scale of the original operator (norm products
-multiplied back in).
+independently against the singular spectrum of M in verify_certificate.  A
+certificate keeps the counts of nonzero raw defects per side (defect_counts),
+not the vectors.  All reported bounds are in the scale of the original
+operator (norm products multiplied back in).
 """
 
 from __future__ import annotations
@@ -150,14 +152,17 @@ class IntervalPartition:
 
     def interval_of(self, positions) -> np.ndarray:
         """Index of the interval containing each position (last interval closed)."""
-        pos = np.atleast_1d(np.asarray(positions, dtype=float))
-        idx = np.searchsorted(self.edges, pos, side="right") - 1
-        return np.clip(idx, 0, self.count - 1)
+        return _interval_index(self.edges, positions)
 
     def distance(self, i: int, j: int) -> float:
         """Distance between intervals i and j (0 for adjacent or identical)."""
         e = self.edges
         return float(max(0.0, e[j] - e[i + 1], e[i] - e[j + 1]))
+
+
+def _interval_index(edges: np.ndarray, positions) -> np.ndarray:
+    pos = np.atleast_1d(np.asarray(positions, dtype=float))
+    return np.clip(np.searchsorted(edges, pos, side="right") - 1, 0, edges.size - 2)
 
 
 def partition(kop: WeightedKernelOperator, n: int, radius: float) -> IntervalPartition:
@@ -194,15 +199,11 @@ def partition(kop: WeightedKernelOperator, n: int, radius: float) -> IntervalPar
             acc = 0.0
         acc += w
         occupied = True
-    edges.append(float(radius))
-
-    count = len(edges) - 1
-    # Bin the per-side weights into the final intervals (last one closed).
-    bins = [np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
-            for x in (kop.mu.positions, kop.nu.positions)]
-    return IntervalPartition(np.asarray(edges),
-                             np.bincount(bins[0], weights=phi_mass, minlength=count),
-                             np.bincount(bins[1], weights=psi_mass, minlength=count), n)
+    edges = np.asarray(edges + [float(radius)])
+    weights = [np.bincount(_interval_index(edges, measure.positions), weights=mass,
+                           minlength=edges.size - 1)
+               for measure, mass in ((kop.mu, phi_mass), (kop.nu, psi_mass))]
+    return IntervalPartition(edges, *weights, n)
 
 
 def split_blocks(part: IntervalPartition):
@@ -230,41 +231,6 @@ def diag_weight_bound(part: IntervalPartition) -> float:
     return float(np.sqrt(np.sum(part.phi_weights * part.psi_weights)))
 
 
-def _defect_inputs(kop: WeightedKernelOperator, side: str):
-    """Positions, weight * sqrt(mass) and f values of the atoms of one side."""
-    if side == "column":
-        positions, masses, weights = kop.nu.positions, kop.nu.masses, kop.psi
-    elif side == "row":
-        positions, masses, weights = kop.mu.positions, kop.mu.masses, kop.phi
-    else:
-        raise ValidationError(f"side must be 'column' or 'row', got {side!r}")
-    return positions, weights * np.sqrt(masses), np.asarray(kop.f(positions), dtype=float)
-
-
-def taylor_defects(part: IntervalPartition, kop: WeightedKernelOperator, side: str):
-    """Per-interval defect vectors in the orthonormal atom basis.
-
-    side "column": for each interval J, the vectors representing psi * chi_J
-    and psi * f * chi_J in L2(nu) coordinates (psi(y_j) sqrt(nu_j) on atoms of
-    J, optionally multiplied by f(y_j)).  side "row": the mirrored phi-side
-    vectors in L2(mu) coordinates.  Zero vectors (empty or fully masked
-    intervals) are skipped, so at most 2 * count vectors are returned.
-    """
-    positions, base, fvals = _defect_inputs(kop, side)
-    idx = part.interval_of(positions)
-    out = []
-    for interval in range(part.count):
-        sel = idx == interval
-        plain = np.where(sel, base, 0.0)
-        if not np.any(plain != 0.0):
-            continue
-        out.append(plain)
-        weighted = plain * fvals
-        if np.any(weighted != 0.0):
-            out.append(weighted)
-    return out
-
-
 def flat_bound(part: IntervalPartition) -> tuple[float, float]:
     """Analytic HS bounds for the corrected upper and lower block families.
 
@@ -290,24 +256,27 @@ class _DefectBasis(NamedTuple):
 
     Each occupied interval is one segment (a slice) of the sorted atoms; on it
     the two rows of vectors hold the interval's kept directions or zeros.
+    count is the number of nonzero raw defects, rank that of kept directions.
     """
 
     segments: list
     segment: np.ndarray
     vectors: np.ndarray
     rank: int
+    count: int
 
 
-def _defect_basis(part: IntervalPartition, kop: WeightedKernelOperator, side: str) -> _DefectBasis:
-    """Orthonormal basis of the span of taylor_defects(part, kop, side).
+def _defect_basis(base: np.ndarray, fvals: np.ndarray, idx: np.ndarray) -> _DefectBasis:
+    """Orthonormal basis of one side's Taylor defects: base and base * fvals on each interval.
+
+    base is weight * sqrt(mass) at the sorted atoms (zero where masked), fvals
+    is f there and idx the interval of each atom.
 
     Two-pass Gram-Schmidt with segment sums factors each interval's defects
     as Q R with R 2 x 2.  One batched SVD of the R's gives the singular values
     of all defects, cut below DEFECT_ANGLE_TOL times the largest as one SVD
     of all defects would; a Gram matrix would square away that gap.
     """
-    positions, base, fvals = _defect_inputs(kop, side)
-    idx = part.interval_of(positions)
     first = np.r_[True, idx[1:] != idx[:-1]]
     starts = np.flatnonzero(first)
     segment = np.cumsum(first) - 1
@@ -320,6 +289,8 @@ def _defect_basis(part: IntervalPartition, kop: WeightedKernelOperator, side: st
         return x * inverse[segment]
 
     weighted = base * fvals
+    # Nonzero tests, not sums of squares, which can underflow to zero.
+    count = np.count_nonzero(sums(base != 0.0)) + np.count_nonzero(sums(weighted != 0.0))
     r11 = np.sqrt(sums(base * base))
     q1 = normalized(base, r11)
     r12 = sums(q1 * weighted)
@@ -335,22 +306,22 @@ def _defect_basis(part: IntervalPartition, kop: WeightedKernelOperator, side: st
     vectors = q1 * u[segment, 0, :].T + normalized(rest, r22) * u[segment, 1, :].T
     bounds = np.r_[starts, idx.size]
     segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    return _DefectBasis(segments, segment, vectors, int(np.count_nonzero(kept)))
+    return _DefectBasis(segments, segment, vectors, int(np.count_nonzero(kept)), int(count))
 
 
 def _residual_squares(m: np.ndarray, scale: float, hx, hy, part: IntervalPartition,
-                      kop: WeightedKernelOperator, col: _DefectBasis,
+                      ix: np.ndarray, iy: np.ndarray, col: _DefectBasis,
                       row: _DefectBasis) -> np.ndarray:
     """Squared HS norms of the diagonal, upper and lower parts of the residual.
 
     A is m / scale with the heavy rows hx and columns hy zeroed, U and L its
-    upper and lower families.  Families are constant on interval blocks and
-    Q is block diagonal, so U Qc and Qr^T L take one small product per
-    interval.  E = A - U Qc Qc^T - Qr Qr^T L is formed one row block at a
-    time and its squares are summed per family.
+    upper and lower families; ix and iy are the intervals of its rows and
+    columns.  Families are constant on interval blocks and Q is block
+    diagonal, so U Qc and Qr^T L take one small product per interval.
+    E = A - U Qc Qc^T - Qr Qr^T L is formed one row block at a time and its
+    squares are summed per family.
     """
     families = _families(part)
-    ix, iy = part.interval_of(kop.mu.positions), part.interval_of(kop.nu.positions)
     col_factor = np.full(m.shape[1], 1.0 / scale)
     col_factor[hy] = 0.0
     row_keep = np.ones(m.shape[0])
@@ -390,8 +361,7 @@ class WeakDecayCertificate:
     heavy_x: np.ndarray
     heavy_y: np.ndarray
     partition: IntervalPartition
-    column_defects: list
-    row_defects: list
+    defect_counts: dict
     defect_rank: int
     residual_hs: float
     empirical_bound: float
@@ -412,10 +382,12 @@ def build_certificates(kop: WeightedKernelOperator, n_values) -> list:
     M = materialize(kop), with defect_rank <= 7n: the difference between M
     and the measured residual factors through the heavy rows/columns and the
     defect-vector spans, and an extra codimension n converts the HS norm into
-    the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).
+    the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).  Raises
+    ValidationError if the pipeline's intermediates would overflow.
     """
     n_values = _checked_n_values(n_values)
-    return _certificates(kop, n_values, materialize(kop))
+    # The certificates of an identically zero kernel never read its matrix.
+    return _certificates(kop, n_values, None if _zero_kernel(kop) else materialize(kop))
 
 
 def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
@@ -423,14 +395,15 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
 
     Returns the singular spectrum of materialize(kop) and one (certificate,
     VerificationReport) pair per n.  Raises CertificateUnsoundError if a
-    certificate fails verification.
+    certificate fails verification, and ValidationError, before the SVD, if
+    the pipeline's intermediates would overflow.
     """
     n_values = _checked_n_values(n_values)
     m = materialize(kop)
-    # SVD first: its workspace and the certificates' defect vectors never coexist.
+    certificates = _certificates(kop, n_values, m)
     spectrum = singular_spectrum(m)
     return spectrum, [(cert, verify_certificate(kop, cert, spectrum=spectrum))
-                      for cert in _certificates(kop, n_values, m)]
+                      for cert in certificates]
 
 
 def _checked_n_values(n_values) -> list:
@@ -441,33 +414,62 @@ def _checked_n_values(n_values) -> list:
     return n_values
 
 
-def _certificates(kop: WeightedKernelOperator, n_values: list, m: np.ndarray) -> list:
+def _zero_kernel(kop: WeightedKernelOperator) -> bool:
+    return kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0
+
+
+def _certificates(kop: WeightedKernelOperator, n_values: list, m) -> list:
     """The certificates of build_certificates, given m = materialize(kop)."""
-    if kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0:
+    if _zero_kernel(kop):
         # Identically zero kernel: certify rank 0 directly.
         radius = kop.support_radius
         return [WeakDecayCertificate(
             n=n, truncation_radius=radius,
             heavy_x=np.empty(0, dtype=int), heavy_y=np.empty(0, dtype=int),
             partition=IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
-            column_defects=[], row_defects=[],
+            defect_counts={"column": 0, "row": 0},
             defect_rank=0, residual_hs=0.0, empirical_bound=0.0, analytic_bound=0.0,
             scale=0.0, components={"tail_hs": 0.0, "diag_hs": 0.0},
         ) for n in n_values]
     unit, scale = normalize(kop)
-    return [_certificate(m, unit, scale, n) for n in n_values]
+    fx, fy = _f_at_atoms(unit)
+    return [_certificate(m, unit, scale, fx, fy, n) for n in n_values]
 
 
-def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float,
-                 n: int) -> WeakDecayCertificate:
+def _f_at_atoms(unit: WeightedKernelOperator) -> list:
+    """f at the atoms of each side of the normalized operator, evaluated once for every n.
+
+    Raises ValidationError where the pipeline would overflow: the partition
+    spans [-R, R], and the defect basis sums squares of at most
+    sum((weight * sqrt(mass) * f)^2) over a side.
+    """
+    radius = unit.support_radius
+    if not math.isfinite(2.0 * radius):
+        raise ValidationError(f"support window [-{radius!r}, {radius!r}] is wider than the "
+                              "float range")
+    values = []
+    for measure, weights in ((unit.mu, unit.phi), (unit.nu, unit.psi)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            fvals = np.asarray(unit.f(measure.positions), dtype=float)
+            squares = np.sum(np.square(weights * np.sqrt(measure.masses) * fvals))
+        if not np.isfinite(squares):
+            raise ValidationError("the weighted squares of the normalized function values "
+                                  "at the atoms overflow the float range")
+        values.append(fvals)
+    return values
+
+
+def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float, fx: np.ndarray,
+                 fy: np.ndarray, n: int) -> WeakDecayCertificate:
     radius = unit.support_radius
     hx = heavy_atoms(unit.mu, unit.phi, n)
     hy = heavy_atoms(unit.nu, unit.psi, n)
     masked = mask(unit, hx, hy)
     part = partition(masked, n, radius)
-    col = _defect_basis(part, masked, "column")
-    row = _defect_basis(part, masked, "row")
-    squares = _residual_squares(m, scale, hx, hy, part, masked, col, row)
+    ix, iy = part.interval_of(unit.mu.positions), part.interval_of(unit.nu.positions)
+    col = _defect_basis(masked.psi * np.sqrt(unit.nu.masses), fy, iy)
+    row = _defect_basis(masked.phi * np.sqrt(unit.mu.masses), fx, ix)
+    squares = _residual_squares(m, scale, hx, hy, part, ix, iy, col, row)
     residual = math.sqrt(squares.sum())
     diag_hs, upper_hs, lower_hs = np.sqrt(squares)
     flat_up, flat_low = flat_bound(part)
@@ -484,8 +486,7 @@ def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float,
         heavy_x=hx,
         heavy_y=hy,
         partition=part,
-        column_defects=taylor_defects(part, masked, "column"),
-        row_defects=taylor_defects(part, masked, "row"),
+        defect_counts={"column": col.count, "row": row.count},
         defect_rank=defect_rank,
         residual_hs=scale * residual,
         empirical_bound=scale * residual / root,
@@ -519,16 +520,13 @@ class VerificationReport:
 
 
 def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, *,
-                       spectrum=None) -> VerificationReport:
-    """Check a certificate against a full SVD of the materialized operator.
+                       spectrum: np.ndarray) -> VerificationReport:
+    """Check a certificate against spectrum, the singular spectrum of materialize(kop).
 
     (a) s_{r}(M) <= b, (b) b <= analytic_bound, (c) the weak quasinorm of the
     spectrum is at most WEAK_NORM_CONSTANT times ||phi|| ||psi|| lip, and the
-    rank budget r <= 7n.  Raises CertificateUnsoundError on any failure; a
-    precomputed singular spectrum may be passed to avoid repeating the SVD.
+    rank budget r <= 7n.  Raises CertificateUnsoundError on any failure.
     """
-    if spectrum is None:
-        spectrum = singular_spectrum(materialize(kop))
     s_r = singular_value_at(spectrum, cert.defect_rank)
     if not s_r <= cert.empirical_bound + VERIFY_TOL:
         raise CertificateUnsoundError(
@@ -564,8 +562,8 @@ def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, 
     )
 
 
-def certificate_to_dict(cert: WeakDecayCertificate, include_vectors: bool = False) -> dict:
-    out = {
+def certificate_to_dict(cert: WeakDecayCertificate) -> dict:
+    return {
         "n": cert.n,
         "truncation_radius": cert.truncation_radius,
         "heavy_x": [int(i) for i in cert.heavy_x],
@@ -582,11 +580,5 @@ def certificate_to_dict(cert: WeakDecayCertificate, include_vectors: bool = Fals
         "analytic_bound": cert.analytic_bound,
         "scale": cert.scale,
         "components": {k: float(v) for k, v in sorted(cert.components.items())},
-        "defect_counts": {"column": len(cert.column_defects), "row": len(cert.row_defects)},
+        "defect_counts": dict(cert.defect_counts),
     }
-    if include_vectors:
-        out["defect_vectors"] = {
-            "column": [[float(x) for x in v] for v in cert.column_defects],
-            "row": [[float(x) for x in v] for v in cert.row_defects],
-        }
-    return out

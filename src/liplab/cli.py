@@ -75,7 +75,7 @@ def _cmd_certify(args) -> int:
         raise ValidationError(f"--n must be comma-separated integers: {args.n!r}") from exc
     records = []
     for cert, report in certify(kop, n_values)[1]:
-        record = certificate_to_dict(cert, include_vectors=args.include_vectors)
+        record = certificate_to_dict(cert)
         record["verification"] = {
             "passed": report.passed,
             "singular_value": report.singular_value,
@@ -137,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="kernel operator file (MU/NU/FUNCTION)")
     p.add_argument("--n", required=True, help="comma-separated n values, e.g. 4,8,16")
     p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.add_argument("--include-vectors", action="store_true",
-                   help="include defect vectors in the certificate records")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from liplab.certificate import (DEFECT_ANGLE_TOL, IntervalPartition, heavy_atoms, mask,
-                                normalize, partition, taylor_defects)
+                                normalize, partition)
 from liplab.errors import ValidationError
 from liplab.functions import LipschitzFunction
 from liplab.linalg import frobenius
@@ -133,13 +133,45 @@ def lower_corrected_matrix(kop: WeightedKernelOperator, part: IntervalPartition)
     return materialize(kop) * correction_ratios(part, kop)[1]
 
 
+def taylor_defects(part: IntervalPartition, kop: WeightedKernelOperator, side: str):
+    """Per-interval defect vectors in the orthonormal atom basis, as dense vectors.
+
+    side "column": for each interval J, the vectors representing psi * chi_J
+    and psi * f * chi_J in L2(nu) coordinates (psi(y_j) sqrt(nu_j) on atoms of
+    J, optionally multiplied by f(y_j)).  side "row": the mirrored phi-side
+    vectors in L2(mu) coordinates.  Zero vectors (empty or fully masked
+    intervals) are skipped, so at most 2 * count vectors are returned.
+    """
+    if side == "column":
+        positions, masses, weights = kop.nu.positions, kop.nu.masses, kop.psi
+    elif side == "row":
+        positions, masses, weights = kop.mu.positions, kop.mu.masses, kop.phi
+    else:
+        raise ValidationError(f"side must be 'column' or 'row', got {side!r}")
+    base = weights * np.sqrt(masses)
+    fvals = np.asarray(kop.f(positions), dtype=float)
+    idx = part.interval_of(positions)
+    out = []
+    for interval in range(part.count):
+        sel = idx == interval
+        plain = np.where(sel, base, 0.0)
+        if not np.any(plain != 0.0):
+            continue
+        out.append(plain)
+        weighted = plain * fvals
+        if np.any(weighted != 0.0):
+            out.append(weighted)
+    return out
+
+
 def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     """The certificate's residual norms and defect rank by the dense pipeline.
 
     Materializes the truncated and masked operators, orthonormalizes all
     defects of a side with one SVD, projects with dense matrix products and
     takes the HS norm of the full residual matrix E.  Norms are in the
-    original operator's scale, as in WeakDecayCertificate.
+    original operator's scale, as in WeakDecayCertificate; defect_counts are
+    the numbers of raw defects per side.
     """
     unit, scale = normalize(kop)
     radius = unit.support_radius
@@ -154,10 +186,10 @@ def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     m_diag = np.where(diag_mask, m_masked, 0.0)
     m_upper = np.where(upper_mask, m_masked, 0.0)
     m_lower = np.where(lower_mask, m_masked, 0.0)
-    q_col = orthonormal_columns(taylor_defects(part, masked, "column"), masked.nu.size,
-                                rel_tol=DEFECT_ANGLE_TOL)
-    q_row = orthonormal_columns(taylor_defects(part, masked, "row"), masked.mu.size,
-                                rel_tol=DEFECT_ANGLE_TOL)
+    col_defects = taylor_defects(part, masked, "column")
+    row_defects = taylor_defects(part, masked, "row")
+    q_col = orthonormal_columns(col_defects, masked.nu.size, rel_tol=DEFECT_ANGLE_TOL)
+    q_row = orthonormal_columns(row_defects, masked.mu.size, rel_tol=DEFECT_ANGLE_TOL)
     upper = m_upper - (m_upper @ q_col) @ q_col.T
     lower = m_lower - q_row @ (q_row.T @ m_lower)
     e = (materialize(unit) - materialize(trunc)) + m_diag + upper + lower
@@ -167,4 +199,5 @@ def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
         "upper_hs": scale * frobenius(upper),
         "lower_hs": scale * frobenius(lower),
         "defect_rank": int(hx.size + hy.size + q_col.shape[1] + q_row.shape[1] + n),
+        "defect_counts": {"column": len(col_defects), "row": len(row_defects)},
     }

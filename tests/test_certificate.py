@@ -6,8 +6,7 @@ import pytest
 
 from liplab.certificate import (IntervalPartition, build_certificate, build_certificates,
                                 certify, diag_weight_bound, flat_bound, heavy_atoms, mask,
-                                normalize, partition, split_blocks, taylor_defects,
-                                verify_certificate)
+                                normalize, partition, split_blocks, verify_certificate)
 from liplab.errors import (CertificateUnsoundError, PartitionInfeasibleError,
                            ValidationError)
 from liplab.functions import (absolute_value, clamp_function, constant_function,
@@ -18,7 +17,7 @@ from liplab.measures import discrete_measure, kernel_operator, materialize
 from liplab.rng import make_rng, random_kernel_operator
 from oracles import (correction_ratios, dense_certificate, diag_block_hs,
                      doubling_truncation_radius, lower_corrected_matrix, orthonormal_columns,
-                     truncate, truncation_tail_hs, upper_corrected_matrix)
+                     taylor_defects, truncate, truncation_tail_hs, upper_corrected_matrix)
 
 
 def masked_instance(seed, atoms, n, f=None):
@@ -416,7 +415,7 @@ def test_certificate_constant_function_trivial():
     assert cert.defect_rank == 0
     assert cert.residual_hs == 0.0
     assert cert.empirical_bound == 0.0
-    assert verify_certificate(kop, cert).passed
+    assert verify_certificate(kop, cert, spectrum=singular_spectrum(materialize(kop))).passed
 
 
 def test_certificate_n1():
@@ -425,7 +424,7 @@ def test_certificate_n1():
     cert = build_certificate(kop, 1)
     assert cert.defect_rank <= 7
     assert cert.empirical_bound <= cert.residual_hs + 1e-15
-    assert verify_certificate(kop, cert).passed
+    assert verify_certificate(kop, cert, spectrum=singular_spectrum(materialize(kop))).passed
 
 
 def test_certificate_rejects_bad_n():
@@ -496,13 +495,14 @@ def test_build_certificates_matches_dense_oracle():
         for n, cert in zip(n_values, build_certificates(kop, n_values)):
             dense = dense_certificate(kop, n)
             assert cert.defect_rank == dense["defect_rank"]
+            assert cert.defect_counts == dense["defect_counts"]
             floor = 1e-12 * kop.norm_product
             assert cert.residual_hs == pytest.approx(dense["residual_hs"], rel=1e-12, abs=floor)
             for key in ("diag_hs", "upper_hs", "lower_hs"):
                 assert cert.components[key] == pytest.approx(dense[key], rel=1e-12, abs=floor)
             heavy += cert.heavy_x.size + cert.heavy_y.size > 0
             collapsed += (cert.defect_rank - n - cert.heavy_x.size - cert.heavy_y.size
-                          < len(cert.column_defects) + len(cert.row_defects))
+                          < cert.defect_counts["column"] + cert.defect_counts["row"])
             checked += 1
     assert checked == len(kops) * len(n_values) and heavy and collapsed
 
@@ -525,7 +525,7 @@ def test_build_certificates_shares_one_matrix():
 def test_verify_zero_operator():
     kop = kernel_operator([0.0], [1.0], [1.0], [0.5], [1.0], [0.0], absolute_value())
     cert = build_certificate(kop, 2)
-    report = verify_certificate(kop, cert)
+    report = verify_certificate(kop, cert, spectrum=singular_spectrum(materialize(kop)))
     assert report.passed and report.weak_quasinorm == 0.0
 
 
@@ -540,18 +540,18 @@ def test_verify_rejects_corrupted_bound():
     spectrum = np.linalg.svd(materialize(kop), compute_uv=False)
     if singular_value_at(spectrum, cert.defect_rank) > bad.empirical_bound + 1e-9:
         with pytest.raises(CertificateUnsoundError):
-            verify_certificate(kop, bad)
+            verify_certificate(kop, bad, spectrum=singular_spectrum(materialize(kop)))
     if singular_value_at(spectrum, cert.defect_rank) > 1e-9:
         with pytest.raises(CertificateUnsoundError):
-            verify_certificate(kop, worse)
+            verify_certificate(kop, worse, spectrum=singular_spectrum(materialize(kop)))
     # b above analytic is always unsound.
     inflated = dataclasses.replace(cert, empirical_bound=cert.analytic_bound * 2.0 + 1.0)
     with pytest.raises(CertificateUnsoundError):
-        verify_certificate(kop, inflated)
+        verify_certificate(kop, inflated, spectrum=singular_spectrum(materialize(kop)))
     # r beyond the 7n budget is unsound even if the bound holds.
     overdrawn = dataclasses.replace(cert, defect_rank=7 * cert.n + 1)
     with pytest.raises(CertificateUnsoundError):
-        verify_certificate(kop, overdrawn)
+        verify_certificate(kop, overdrawn, spectrum=singular_spectrum(materialize(kop)))
     # NaN bounds compare false both ways; verification must fail closed.
     nan = dataclasses.replace(cert, empirical_bound=math.nan, analytic_bound=math.nan)
     with pytest.raises(CertificateUnsoundError):

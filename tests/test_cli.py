@@ -13,10 +13,11 @@ from liplab import measures, sweeps
 from liplab.certificate import build_certificates, certify
 from liplab.cli import main
 from liplab.errors import ValidationError
-from liplab.functions import absolute_value, function_from_spec
+from liplab.functions import absolute_value, constant_function, function_from_spec
 from liplab.linalg import read_matrix, write_matrix
-from liplab.measures import write_kernel_operator
+from liplab.measures import kernel_operator, write_kernel_operator
 from liplab.rng import make_rng, random_kernel_operator
+from test_sweeps import GOLDEN_DIR, assert_matches_golden
 
 
 @pytest.fixture
@@ -88,11 +89,32 @@ def test_certify(tmp_path, capsys):
     for record in data["certificates"]:
         assert record["verification"]["passed"]
         assert "defect_vectors" not in record
-    code = main(["certify", "--input", str(op_path), "--n", "2", "--out", str(out),
-                 "--include-vectors"])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert "defect_vectors" in data["certificates"][0]
+
+
+def test_certify_matches_golden(tmp_path):
+    out = tmp_path / "certify.json"
+    assert main(["certify", "--input", str(GOLDEN_DIR / "certify_operator.txt"),
+                 "--n", "1,2,4,8", "--out", str(out)]) == 0
+    golden = json.loads((GOLDEN_DIR / "certify.json").read_text())
+    assert any(c["heavy_x"] or c["heavy_y"] for c in golden["certificates"])
+    assert_matches_golden(json.loads(out.read_text()), golden)
+
+
+@pytest.mark.parametrize("mu, nu, spec, n", [
+    # The support window [-R, R] is wider than the float range.
+    ([9e307, 1e308], [9.5e307, 1.2e308], {"kind": "abs"}, "2"),
+    # The normalized f values are near 1e200: their squares overflow.
+    ([0.0, 1.0], [0.5, 2.0], {"kind": "shifted_abs", "t": 1e200}, "1,2"),
+])
+def test_certify_rejects_overflowing_intermediates(tmp_path, mu, nu, spec, n):
+    kop = kernel_operator(mu, [0.5, 0.5], [1.0, 1.0], nu, [0.5, 0.5], [1.0, 1.0],
+                          function_from_spec(spec))
+    n_values = [int(k) for k in n.split(",")]
+    for call in (certify, build_certificates):
+        with pytest.raises(ValidationError, match="float range"):
+            call(kop, n_values)
+    write_kernel_operator(tmp_path / "kop.txt", kop)
+    assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", n]) == 2
 
 
 def test_certify_bad_n(tmp_path):
@@ -124,6 +146,10 @@ def materialize_calls(monkeypatch):
 
 def test_certify_and_certificate_sweep_materialize_once(tmp_path, materialize_calls):
     calls = materialize_calls
+    # An identically zero kernel is certified without its matrix.
+    zero = random_kernel_operator(make_rng(7, 0), constant_function(2.0), 30, 30)
+    assert [c.defect_rank for c in build_certificates(zero, [2, 4])] == [0, 0]
+    assert calls == []
     kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
     op_path = tmp_path / "kop.txt"
     write_kernel_operator(op_path, kop)
