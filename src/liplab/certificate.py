@@ -510,10 +510,7 @@ def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float, fx: 
 @dataclass(frozen=True)
 class VerificationReport:
     passed: bool
-    defect_rank: int
     singular_value: float
-    empirical_bound: float
-    analytic_bound: float
     weak_quasinorm: float
     norm_product: float
     weak_ratio: float
@@ -528,34 +525,19 @@ def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, 
     rank budget r <= 7n.  Raises CertificateUnsoundError on any failure.
     """
     s_r = singular_value_at(spectrum, cert.defect_rank)
-    if not s_r <= cert.empirical_bound + VERIFY_TOL:
-        raise CertificateUnsoundError(
-            f"s_{cert.defect_rank} violates the certified bound",
-            observed=s_r, allowed=cert.empirical_bound + VERIFY_TOL,
-        )
-    if not cert.empirical_bound <= cert.analytic_bound + VERIFY_TOL:
-        raise CertificateUnsoundError(
-            "empirical bound exceeds the analytic bound",
-            observed=cert.empirical_bound, allowed=cert.analytic_bound + VERIFY_TOL,
-        )
-    if not cert.defect_rank <= 7 * cert.n:
-        raise CertificateUnsoundError(
-            "defect rank exceeds 7n", observed=cert.defect_rank, allowed=7 * cert.n
-        )
+    CertificateUnsoundError.require(f"s_{cert.defect_rank} violates the certified bound",
+                                    s_r, cert.empirical_bound + VERIFY_TOL)
+    CertificateUnsoundError.require("empirical bound exceeds the analytic bound",
+                                    cert.empirical_bound, cert.analytic_bound + VERIFY_TOL)
+    CertificateUnsoundError.require("defect rank exceeds 7n", cert.defect_rank, 7 * cert.n)
     weak = weak_s1_quasinorm(spectrum)
     product = kop.norm_product
-    allowed = WEAK_NORM_CONSTANT * product + VERIFY_TOL
-    if not weak <= allowed:
-        raise CertificateUnsoundError(
-            "weak quasinorm exceeds the reported constant times the norm product",
-            observed=weak, allowed=allowed,
-        )
+    CertificateUnsoundError.require(
+        "weak quasinorm exceeds the reported constant times the norm product",
+        weak, WEAK_NORM_CONSTANT * product + VERIFY_TOL)
     return VerificationReport(
         passed=True,
-        defect_rank=cert.defect_rank,
         singular_value=s_r,
-        empirical_bound=cert.empirical_bound,
-        analytic_bound=cert.analytic_bound,
         weak_quasinorm=weak,
         norm_product=product,
         weak_ratio=weak / product if product > 0 else 0.0,

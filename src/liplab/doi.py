@@ -7,14 +7,21 @@ symbol is a Schur multiplier in the eigenbases:
 
 where U, V are the eigenvector frames, L the Loewner matrix of f at the two
 spectra, and o the entrywise product.  With T = A - B this reproduces
-f(A) - f(B) exactly; check_birman_solomyak measures the residual.
+f(A) - f(B) exactly (Birman and Solomyak).
+
+Both contracts the sweeps rest on are checked here, where their values are
+computed: doi_apply the S2 bound ||doi(f, T)||_F <= lip ||T||_F, and
+birman_solomyak_delta the identity residual.  A broken contract raises
+SoundnessError; one beyond the float range, ValidationError before any work.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SoundnessError, ValidationError
 from .functions import LipschitzFunction, apply_function, loewner_matrix
 from .linalg import SpectralDecomposition, as_matrix, as_symmetric, eigh_symmetric, frobenius
 
@@ -22,17 +29,29 @@ from .linalg import SpectralDecomposition, as_matrix, as_symmetric, eigh_symmetr
 # (1 + ||A||_F + ||B||_F) * lip.
 BS_RESIDUAL_TOL = 1e-8
 
+# Relative slack for the entrywise Schur-multiplier S2 bound.
+S2_SLACK = 1e-9
+
 
 def doi_apply(f: LipschitzFunction, d1: SpectralDecomposition, d2: SpectralDecomposition,
               t) -> np.ndarray:
-    """Double operator integral of T against the divided-difference symbol of f."""
+    """Double operator integral of T against the divided-difference symbol of f.
+
+    Every Loewner entry is at most lip in size, so the result must satisfy
+    ||Q||_F <= lip * ||T||_F up to S2_SLACK, or SoundnessError is raised.
+    """
     mat = as_matrix(t)
     if mat.shape != (d1.dim, d2.dim):
         raise ValidationError(
             f"T has shape {mat.shape}, expected ({d1.dim}, {d2.dim}) from the decompositions"
         )
+    allowed = f.lip * frobenius(mat) * (1.0 + S2_SLACK)
+    if not math.isfinite(allowed):
+        raise ValidationError("lip * ||T||_F exceeds the float range")
     symbol = loewner_matrix(f, d1.eigenvalues, d2.eigenvalues)
-    return d1.frame @ (symbol * (d1.frame.T @ mat @ d2.frame)) @ d2.frame.T
+    q = d1.frame @ (symbol * (d1.frame.T @ mat @ d2.frame)) @ d2.frame.T
+    SoundnessError.require("S2 Schur-multiplier bound violated", frobenius(q), allowed)
+    return q
 
 
 def f_delta(f: LipschitzFunction, a, b) -> np.ndarray:
@@ -45,8 +64,11 @@ def f_delta(f: LipschitzFunction, a, b) -> np.ndarray:
 
 
 def bs_residual_bound(a, b, lip: float) -> float:
-    """Contract threshold for the identity residual at the given operator scales."""
-    return BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip)
+    """Contract threshold for the identity residual; ValidationError beyond the float range."""
+    bound = BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip)
+    if not math.isfinite(bound):
+        raise ValidationError("the Birman-Solomyak contract exceeds the float range")
+    return bound
 
 
 def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
@@ -55,18 +77,24 @@ def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
     """f(A) - f(B) and its Frobenius residual against the double operator integral.
 
     The identity is exact in exact arithmetic, so the residual measures only
-    rounding; it must stay below bs_residual_bound(a, b, f.lip).  Precomputed
-    decompositions may be passed to avoid repeated eigendecompositions.
+    rounding; above bs_residual_bound(a, b, f.lip) it raises SoundnessError.
+    At lip = 0 the integral is identically 0 and the residual is only frame
+    rounding, so no contract applies.  Precomputed decompositions may be
+    passed to avoid repeated eigendecompositions.
     """
     ma = as_symmetric(a)
     mb = as_symmetric(b)
     if ma.shape != mb.shape:
         raise ValidationError(f"A and B must share a dimension, got {ma.shape} and {mb.shape}")
+    bound = bs_residual_bound(a, b, f.lip)
     da = dec_a if dec_a is not None else eigh_symmetric(ma)
     db = dec_b if dec_b is not None else eigh_symmetric(mb)
     delta = apply_function(f, da) - apply_function(f, db)
     integral = doi_apply(f, da, db, ma - mb)
-    return delta, frobenius(delta - integral)
+    residual = frobenius(delta - integral)
+    if f.lip > 0.0:
+        SoundnessError.require("Birman-Solomyak residual out of contract", residual, bound)
+    return delta, residual
 
 
 def check_birman_solomyak(f: LipschitzFunction, a, b, *,
@@ -74,7 +102,8 @@ def check_birman_solomyak(f: LipschitzFunction, a, b, *,
                           dec_b: SpectralDecomposition | None = None) -> float:
     """Frobenius residual of f(A) - f(B) against the double operator integral.
 
-    See birman_solomyak_delta, which also returns f(A) - f(B) itself.
+    See birman_solomyak_delta, which checks the contract and also returns
+    f(A) - f(B) itself.
     """
     return birman_solomyak_delta(f, a, b, dec_a=dec_a, dec_b=dec_b)[1]
 

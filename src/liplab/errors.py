@@ -88,6 +88,12 @@ class SoundnessError(RuntimeError):
         self.observed = observed
         self.allowed = allowed
 
+    @classmethod
+    def require(cls, message: str, observed: float, allowed: float) -> None:
+        """The one guard form: raise cls unless observed <= allowed, so a NaN fails."""
+        if not observed <= allowed:
+            raise cls(message, observed, allowed)
+
 
 class CertificateUnsoundError(SoundnessError):
     """A decay certificate failed verification."""

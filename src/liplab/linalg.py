@@ -37,7 +37,11 @@ def as_symmetric(a) -> np.ndarray:
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (m + m.T)
+    if not np.all(np.isfinite(sym)):
+        raise ValidationError("symmetrizing the matrix exceeds the float range")
+    return sym
 
 
 def frobenius(a) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liplab import measures, sweeps
+from liplab import doi, measures, sweeps
 from liplab.certificate import build_certificates, certify
 from liplab.cli import main
 from liplab.errors import ValidationError
@@ -182,6 +182,50 @@ def test_bscheck_contract_finite_beyond_squared_range(tmp_path, capsys):
     contract = float(out[1].split()[1])
     assert out[1].startswith("contract ") and math.isfinite(contract) and contract > 0.0
     assert out[2] == "OK"
+
+
+_EXTREME_A = [[8e307, 7e307], [7e307, -8e307]]
+_EXTREME_B = [[-8e307, 7e307], [7e307, 8e307]]
+
+
+@pytest.mark.parametrize("command, spec, mats", [
+    # 1 + ||A||_F + ||B||_F is beyond the float range, so is the residual contract.
+    ("bscheck", {"kind": "abs"}, [_EXTREME_A, _EXTREME_B]),
+    ("bscheck", {"kind": "clamp"}, [_EXTREME_A, _EXTREME_B]),
+    # ||T||_F is beyond the float range, so is the S2 bound.
+    ("doi", {"kind": "abs"}, [np.diag([0.0, 2.0]), np.diag([1.0, 2.0]),
+                              [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]]),
+    # A + A^T overflows in the symmetrization, before any eigendecomposition.
+    ("doi", {"kind": "abs"}, [[[1e308, 1e308], [1e308, 0.0]], np.eye(2), np.eye(2)]),
+])
+def test_contract_beyond_float_range_exits_2(tmp_path, capsys, command, spec, mats):
+    paths = [str(tmp_path / f"{i}.txt") for i in range(len(mats))]
+    for path, m in zip(paths, mats):
+        write_matrix(path, np.array(m))
+    assert main([command, "--function", json.dumps(spec), *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "float range" in captured.err
+
+
+def test_bscheck_applies_no_contract_at_lip_0(tmp_path, capsys):
+    # f(A) - f(B) and the DOI are both 0 here; the residual is only frame rounding.
+    write_matrix(tmp_path / "A.txt", np.array([[1.0, 0.5], [0.5, -1.0]]))
+    write_matrix(tmp_path / "B.txt", np.array([[0.0, 0.3], [0.3, 2.0]]))
+    assert main(["bscheck", "--function", '{"kind": "constant", "c": 1}',
+                 str(tmp_path / "A.txt"), str(tmp_path / "B.txt")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "contract 0.0" and out[2] == "OK"
+
+
+def test_certify_stdout_is_the_report(tmp_path, capsys):
+    argv = ["certify", "--input", str(GOLDEN_DIR / "certify_operator.txt"), "--n", "1,2,4,8"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    json.loads(stdout)
+    out = tmp_path / "certs.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert stdout == out.read_text()
 
 
 def test_unwritable_matrix_output_exits_2(matrices):
@@ -357,19 +401,28 @@ def test_sweep_bad_config(tmp_path):
     assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
-@pytest.mark.parametrize("experiment,guard,value", [
+@pytest.mark.parametrize("target,guard,value", [
     ("trace_class", "S2_SLACK", -1.0),
     ("rank_one", "bs_residual_bound", lambda a, b, lip: -1.0),
+    ("doi", "S2_SLACK", -1.0),
+    ("bscheck", "bs_residual_bound", lambda a, b, lip: -1.0),
 ])
-def test_sweep_soundness_failure_exits_3(tmp_path, monkeypatch, capsys, experiment, guard, value):
-    # Break one guard's allowance so a sound instance trips it.
-    monkeypatch.setattr(sweeps, guard, value)
-    cfg = {"experiment": experiment, "dimensions": [4], "ensemble": 1, "seed": 0,
-           "function": {"kind": "abs"}}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["sweep", "--config", str(cfg_path)]) == 3
-    assert capsys.readouterr().err.startswith("unsound: ")
+def test_sweep_soundness_failure_exits_3(matrices, monkeypatch, capsys, target, guard, value):
+    # Break one guard's allowance in liplab.doi so a sound computation trips it;
+    # target is a sweep experiment or a CLI command.
+    monkeypatch.setattr(doi, guard, value)
+    if target in ("doi", "bscheck"):
+        names = ["A.txt", "B.txt", "T.txt"][:3 if target == "doi" else 2]
+        argv = [target, "--function", '{"kind": "abs"}', *(str(matrices / n) for n in names)]
+    else:
+        cfg_path = matrices / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": target, "dimensions": [4], "ensemble": 1,
+                                        "seed": 0, "function": {"kind": "abs"}}))
+        argv = ["sweep", "--config", str(cfg_path)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("unsound: ")
+    assert captured.out == ""
 
 
 def test_sweep_summary_to_stdout(tmp_path, capsys):

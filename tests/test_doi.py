@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from liplab.doi import (bs_residual_bound, check_birman_solomyak, doi_apply, f_delta,
                         rank_one_perturb)
-from liplab.errors import ValidationError
+from liplab.errors import CertificateUnsoundError, SoundnessError, ValidationError
 from liplab.functions import (absolute_value, constant_function, default_suite,
                               identity_function, piecewise_linear)
 from liplab.ideals import schatten_norm, singular_spectrum
@@ -181,3 +183,12 @@ def test_rank_one_trace_norm():
         assert trace_norm == pytest.approx(abs(c) * float(u @ u), rel=1e-10, abs=1e-12)
         if c != 0.0:
             assert np.linalg.matrix_rank(diff, tol=1e-10) == 1
+
+
+@pytest.mark.parametrize("observed, allowed", [(math.nan, 1.0), (0.0, math.nan)])
+def test_require_fails_closed_on_nan(observed, allowed):
+    SoundnessError.require("equal passes", 1.0, 1.0)
+    with pytest.raises(SoundnessError, match="^check: observed"):
+        SoundnessError.require("check", observed, allowed)
+    with pytest.raises(CertificateUnsoundError):
+        CertificateUnsoundError.require("check", observed, allowed)
