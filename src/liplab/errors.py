@@ -85,8 +85,14 @@ class SoundnessError(RuntimeError):
 
     def __init__(self, message: str, observed: float, allowed: float):
         super().__init__(f"{message}: observed {observed!r} exceeds allowed {allowed!r}")
+        self.message = message
         self.observed = observed
         self.allowed = allowed
+
+    def __reduce__(self):
+        # A sweep worker sends the error to its parent pickled; the default
+        # reduction would call cls(str(self)) and miss two arguments.
+        return type(self), (self.message, self.observed, self.allowed)
 
     @classmethod
     def require(cls, message: str, observed: float, allowed: float) -> None:

@@ -87,11 +87,13 @@ class SpectralDecomposition:
         d = frame.shape[0]
         if frame.ndim != 2 or frame.shape != (d, d) or vals.shape != (d,):
             raise ValidationError("decomposition shapes are inconsistent")
-        if np.any(np.diff(vals) < 0):
+        # Every check below is written to fail on NaN; comparing neighbours
+        # (not np.diff) also cannot overflow.
+        if not np.all(vals[1:] >= vals[:-1]):
             raise ValidationError("eigenvalues must be ascending")
         gram = frame.T @ frame
         defect = np.abs(gram - np.eye(d)).max()
-        if defect > ORTHONORMALITY_TOL * d:
+        if not defect <= ORTHONORMALITY_TOL * d:
             raise ValidationError(
                 f"frame is not orthonormal: defect {defect:.3e} exceeds {ORTHONORMALITY_TOL * d:.3e}"
             )
@@ -120,7 +122,7 @@ def eigh_symmetric(a) -> SpectralDecomposition:
     scale = 1.0 + frobenius(m)
     floor = 16 * m.shape[0] * np.finfo(float).eps
     residual = frobenius(m - (frame * vals) @ frame.T)
-    if residual > min(max(1e-12, floor), EIG_RESIDUAL_TOL) * scale:
+    if not residual <= min(max(1e-12, floor), EIG_RESIDUAL_TOL) * scale:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds contract at dim {m.shape[0]}"
         )
@@ -143,9 +145,9 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v = vh.T * colsign
     scale = 1.0 + frobenius(mat)
     residual = frobenius(mat - (u * s) @ v.T)
-    if residual > SVD_RESIDUAL_TOL * scale:
+    if not residual <= SVD_RESIDUAL_TOL * scale:
         raise ConvergenceError(f"svd residual {residual:.3e} exceeds contract")
-    if np.any(np.diff(s) > 0) or np.any(s < 0):
+    if not (np.all(s[1:] <= s[:-1]) and np.all(s >= 0)):
         raise ConvergenceError("singular values are not nonincreasing and nonnegative")
     return s, u, v
 

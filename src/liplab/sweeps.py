@@ -7,15 +7,18 @@ per-dimension maxima.  Bounded ratios across dimensions are the empirical
 signature of the dimension-free inequalities this package studies.  Identical
 configs (including the seed) produce byte-identical reports.
 
-run_sweep is the only loop.  An experiment is one instance function
-(rng, f, dim, cfg) -> (row, spectrum) plus one _EXPERIMENTS entry naming its
-columns, its summary and its size label.  liplab.doi checks the DOI contracts
-and liplab.certificate verifies certificates; a broken one ends the sweep as a
-soundness failure, which the CLI turns into exit 3.
+run_sweep is the only loop.  It runs the (size, instance) pairs on every
+available core, in forked worker processes pinned to one BLAS thread.  An
+experiment is one instance function (rng, f, dim, cfg) -> (row, spectrum) plus
+one _EXPERIMENTS entry naming its columns, its summary and its size label.
+liplab.doi checks the DOI contracts and liplab.certificate verifies
+certificates; a broken one ends the sweep as a soundness failure, which the CLI
+turns into exit 3, also when a worker raised it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
@@ -263,19 +266,18 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     """Run cfg's experiment on every (size, instance) pair, sizes outermost.
 
     Each pair draws from its own Philox stream, so no row depends on another.
+    Where the loaded BLAS can be pinned, the pairs run at one BLAS thread (see
+    _run_instances), so the report depends neither on the core count nor on
+    the BLAS thread count.
     """
     exp = _EXPERIMENTS[cfg.experiment]
-    f = function_from_spec(cfg.function)
     rows, curves = [], []
-    for size in cfg.dimensions:
-        for idx in range(cfg.ensemble):
-            row, spectrum = exp.instance(make_rng(cfg.seed, _TAG[cfg.experiment], size, idx),
-                                         f, size, cfg)
-            rows.append({"instance": idx, exp.size: size, "function": f.name, **row})
-            if cfg.emit_curves and idx == 0:
-                label = f"{exp.curve_label}{size}"
-                curves += [{"label": label, "j": j, "s_j": float(s), "weighted": float((1 + j) * s)}
-                           for j, s in enumerate(spectrum)]
+    for row, spectrum in _run_instances(cfg):
+        rows.append(row)
+        if spectrum is not None:
+            label = f"{exp.curve_label}{row[exp.size]}"
+            curves += [{"label": label, "j": j, "s_j": float(s), "weighted": float((1 + j) * s)}
+                       for j, s in enumerate(spectrum)]
     expected = cfg.ensemble * len(cfg.dimensions)
     if len(rows) != expected:
         raise RuntimeError(f"report has {len(rows)} rows, expected {expected}")
@@ -283,6 +285,92 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
                + [f"{prefix}{n}" for n in cfg.n_values for prefix in exp.per_n])
     return ExperimentReport(cfg.experiment, columns, rows, exp.summary(rows, cfg.dimensions),
                             curves)
+
+
+def _instance(cfg: SweepConfig, size: int, idx: int):
+    """One pair's report row, and its spectrum if the pair draws a decay curve (else None).
+
+    f is rebuilt from cfg.function here because a pwl closure does not pickle.
+    """
+    exp = _EXPERIMENTS[cfg.experiment]
+    f = function_from_spec(cfg.function)
+    row, spectrum = exp.instance(make_rng(cfg.seed, _TAG[cfg.experiment], size, idx), f, size, cfg)
+    return ({"instance": idx, exp.size: size, "function": f.name, **row},
+            spectrum if cfg.emit_curves and idx == 0 else None)
+
+
+def _run_instances(cfg: SweepConfig) -> list:
+    """_instance of every (size, instance) pair of cfg, sizes outermost.
+
+    With more than one pair and more than one available core, the pairs run in
+    a pool of forked workers, one per core, largest sizes first so that the
+    biggest instances do not form the tail.  Forked workers inherit the loaded
+    modules and their state.  A pool runs only if the loaded BLAS can be pinned
+    to one thread: workers that each start the parent's BLAS threads
+    oversubscribe the cores and run slower than this process alone.  Otherwise
+    the pairs run here, pinned to one BLAS thread for the duration if possible.
+    """
+    pairs = [(size, idx) for size in cfg.dimensions for idx in range(cfg.ensemble)]
+    threads = _openblas_threads()
+    if threads is None:
+        return [_instance(cfg, *pair) for pair in pairs]
+    get_threads, set_threads = threads
+    workers = min(len(pairs), _cores())
+    if workers == 1:
+        before = get_threads()
+        set_threads(1)
+        try:
+            return [_instance(cfg, *pair) for pair in pairs]
+        finally:
+            set_threads(before)
+    # Imported here: a pool is not needed to import liplab, and they cost import time.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=set_threads, initargs=(1,))
+    try:
+        largest_first = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
+        futures = {i: pool.submit(_instance, cfg, *pairs[i]) for i in largest_first}
+        return [futures[i].result() for i in range(len(pairs))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _openblas_threads():
+    """(get, set) for the thread count of the OpenBLAS numpy loaded, or None.
+
+    The library is found among this process's mappings (Linux only) and its
+    entry points under the names of the plain, 64-bit-integer and numpy-wheel
+    (scipy_openblas) builds.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
 
 
 def _format_value(v) -> str:

@@ -144,8 +144,10 @@ def materialize_calls(monkeypatch):
     return calls
 
 
-def test_certify_and_certificate_sweep_materialize_once(tmp_path, materialize_calls):
+def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch, materialize_calls):
     calls = materialize_calls
+    # One core: the sweep runs in this process, where the calls are counted.
+    monkeypatch.setattr(sweeps, "_cores", lambda: 1)
     # An identically zero kernel is certified without its matrix.
     zero = random_kernel_operator(make_rng(7, 0), constant_function(2.0), 30, 30)
     assert [c.defect_rank for c in build_certificates(zero, [2, 4])] == [0, 0]
@@ -197,6 +199,10 @@ _EXTREME_B = [[-8e307, 7e307], [7e307, 8e307]]
                               [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]]),
     # A + A^T overflows in the symmetrization, before any eigendecomposition.
     ("doi", {"kind": "abs"}, [[[1e308, 1e308], [1e308, 0.0]], np.eye(2), np.eye(2)]),
+    # The eigenvalues (about +-1.06e308) fit, but f(A) + f(A)^T and f(A) - f(B) may not.
+    ("fdelta", {"kind": "abs"}, [_EXTREME_A, _EXTREME_B]),
+    # f(A) is about 1e308 * I, so symmetrizing it overflows.
+    ("bscheck", {"kind": "shifted_abs", "t": 1e308}, [np.diag([0.0, 2.0]), np.diag([1.0, 2.0])]),
 ])
 def test_contract_beyond_float_range_exits_2(tmp_path, capsys, command, spec, mats):
     paths = [str(tmp_path / f"{i}.txt") for i in range(len(mats))]
@@ -251,7 +257,9 @@ def test_bad_function_parameters_exit_2(matrices, spec):
                  str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
 
 
-def test_function_non_finite_at_data_exits_2(matrices):
+def test_function_non_finite_at_data_exits_2(matrices, monkeypatch):
+    # Two cores, so a two-instance sweep raises in a worker process.
+    monkeypatch.setattr(sweeps, "_cores", lambda: 2)
     # sqrt(x^2 + delta^2) overflows to inf for every x.
     spec = '{"kind": "smooth_ramp", "delta": 1e200}'
     assert main(["fdelta", "--function", spec,
@@ -261,11 +269,12 @@ def test_function_non_finite_at_data_exits_2(matrices):
         make_rng(8, 0), function_from_spec(json.loads(spec)), 10, 10))
     assert main(["certify", "--input", str(op_path), "--n", "2"]) == 2
     for experiment in ("rank_one", "certificate"):
-        cfg_path = matrices / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiment": experiment, "dimensions": [4],
-                                        "ensemble": 1, "seed": 0,
-                                        "function": json.loads(spec), "n_values": [2]}))
-        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        for ensemble in (1, 2):
+            cfg_path = matrices / "cfg.json"
+            cfg_path.write_text(json.dumps({"experiment": experiment, "dimensions": [4],
+                                            "ensemble": ensemble, "seed": 0,
+                                            "function": json.loads(spec), "n_values": [2]}))
+            assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
 _NUMBERS = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
@@ -401,23 +410,30 @@ def test_sweep_bad_config(tmp_path):
     assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
-@pytest.mark.parametrize("target,guard,value", [
-    ("trace_class", "S2_SLACK", -1.0),
-    ("rank_one", "bs_residual_bound", lambda a, b, lip: -1.0),
-    ("doi", "S2_SLACK", -1.0),
-    ("bscheck", "bs_residual_bound", lambda a, b, lip: -1.0),
+@pytest.mark.parametrize("target,guard,value,ensemble", [
+    pytest.param("trace_class", "S2_SLACK", -1.0, 1, id="trace_class-S2_SLACK--1.0"),
+    # Two instances on two cores: the guard trips in a worker process.
+    pytest.param("trace_class", "S2_SLACK", -1.0, 2, id="trace_class-S2_SLACK--1.0-ensemble2"),
+    pytest.param("rank_one", "bs_residual_bound", lambda a, b, lip: -1.0, 1,
+                 id="rank_one-bs_residual_bound-<lambda>"),
+    pytest.param("doi", "S2_SLACK", -1.0, 1, id="doi-S2_SLACK--1.0"),
+    pytest.param("bscheck", "bs_residual_bound", lambda a, b, lip: -1.0, 1,
+                 id="bscheck-bs_residual_bound-<lambda>"),
 ])
-def test_sweep_soundness_failure_exits_3(matrices, monkeypatch, capsys, target, guard, value):
+def test_sweep_soundness_failure_exits_3(matrices, monkeypatch, capsys, target, guard, value,
+                                         ensemble):
     # Break one guard's allowance in liplab.doi so a sound computation trips it;
     # target is a sweep experiment or a CLI command.
     monkeypatch.setattr(doi, guard, value)
+    monkeypatch.setattr(sweeps, "_cores", lambda: 2)
     if target in ("doi", "bscheck"):
         names = ["A.txt", "B.txt", "T.txt"][:3 if target == "doi" else 2]
         argv = [target, "--function", '{"kind": "abs"}', *(str(matrices / n) for n in names)]
     else:
         cfg_path = matrices / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiment": target, "dimensions": [4], "ensemble": 1,
-                                        "seed": 0, "function": {"kind": "abs"}}))
+        cfg_path.write_text(json.dumps({"experiment": target, "dimensions": [4],
+                                        "ensemble": ensemble, "seed": 0,
+                                        "function": {"kind": "abs"}}))
         argv = ["sweep", "--config", str(cfg_path)]
     assert main(argv) == 3
     captured = capsys.readouterr()

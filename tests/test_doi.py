@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -192,3 +193,12 @@ def test_require_fails_closed_on_nan(observed, allowed):
         SoundnessError.require("check", observed, allowed)
     with pytest.raises(CertificateUnsoundError):
         CertificateUnsoundError.require("check", observed, allowed)
+
+
+@pytest.mark.parametrize("cls", [SoundnessError, CertificateUnsoundError])
+def test_soundness_errors_pickle(cls):
+    # A sweep worker hands its error to the parent pickled.
+    back = pickle.loads(pickle.dumps(cls("m", 1.0, 0.5)))
+    assert type(back) is cls
+    assert (back.message, back.observed, back.allowed) == ("m", 1.0, 0.5)
+    assert str(back) == str(cls("m", 1.0, 0.5))

@@ -44,6 +44,25 @@ def test_eigh_lapack_failure_is_convergence_error(monkeypatch):
         eigh_symmetric(np.eye(2))
 
 
+@pytest.mark.parametrize("vals, frame, error", [
+    # Only the residual sees a NaN eigenvalue of a 1 x 1 matrix.
+    ([math.nan], [[1.0]], ConvergenceError),
+    ([math.nan, 0.0, 1.0], np.eye(3), ValidationError),  # order
+    ([0.0, 1.0, 2.0], np.full((3, 3), math.nan), ValidationError),  # orthonormality
+])
+def test_eigh_contracts_fail_closed_on_nan(monkeypatch, vals, frame, error):
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array(vals), np.array(frame)))
+    with pytest.raises(error):
+        eigh_symmetric(np.eye(len(vals)))
+
+
+def test_svd_contract_fails_closed_on_nan(monkeypatch):
+    nan = np.full((2, 2), math.nan)
+    monkeypatch.setattr(np.linalg, "svd", lambda m, full_matrices: (nan, nan[0], nan))
+    with pytest.raises(ConvergenceError):
+        svd(np.eye(2))
+
+
 @pytest.mark.parametrize("dim", [2, 8, 32])
 def test_eigh_contracts_random(dim):
     rng = make_rng(100, dim)

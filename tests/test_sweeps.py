@@ -1,10 +1,12 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liplab import sweeps
 from liplab.doi import doi_apply
 from liplab.errors import ValidationError
 from liplab.functions import absolute_value, identity_function
@@ -277,3 +279,65 @@ def test_report_matches_golden(experiment, tmp_path):
     assert [list(row) for row in report["rows"]] == [list(row) for row in golden["rows"]]
     assert [c["label"] for c in report["curves"]] == [c["label"] for c in golden["curves"]]
     assert_matches_golden(report, golden)
+
+
+def report_bytes(report, directory: Path) -> dict:
+    """The bytes of every file emit_report writes for report, JSON and CSV."""
+    directory.mkdir()
+    emit_report(report, directory / "r.json", "json")
+    emit_report(report, directory / "r.csv", "csv")
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+# At dimension 128 a multi-threaded OpenBLAS changes rank_one's last digits, so this
+# config shows whether every path pins BLAS to one thread.
+_D128 = {"experiment": "rank_one", "dimensions": [128], "ensemble": 2, "seed": 905,
+         "function": {"kind": "abs"}, "emit_curves": True}
+
+
+@pytest.mark.parametrize("experiment", [*sorted(GOLDEN_CONFIGS), "rank_one_d128"])
+def test_report_bytes_do_not_depend_on_worker_count(experiment, tmp_path, monkeypatch):
+    cfg = load_config(_D128) if experiment == "rank_one_d128" else golden_config(experiment)
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(sweeps, "_cores", lambda n=workers: n)
+        reports.append(report_bytes(run_sweep(cfg), tmp_path / str(workers)))
+    assert sorted(reports[0]) == ["r.csv", "r.csv.curves.csv", "r.json"]
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.fixture
+def instance_pids(tmp_path, monkeypatch):
+    """Two cores, and a reader of the ids of the processes that ran each sweep instance."""
+    log = tmp_path / "pids"
+    log.touch()
+    make_rng_ = sweeps.make_rng
+
+    def logging_make_rng(*key):
+        with open(log, "a") as fh:  # one short append per instance, from any process
+            fh.write(f"{os.getpid()}\n")
+        return make_rng_(*key)
+
+    monkeypatch.setattr(sweeps, "make_rng", logging_make_rng)
+    monkeypatch.setattr(sweeps, "_cores", lambda: 2)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+def test_sweep_runs_in_workers_with_a_pinnable_blas(instance_pids):
+    if sweeps._openblas_threads() is None:
+        pytest.skip("no loaded OpenBLAS whose thread count can be set")
+    cfg = golden_config("matsaev")
+    run_sweep(cfg)
+    pids = instance_pids()
+    assert len(pids) == cfg.ensemble * len(cfg.dimensions)
+    assert os.getpid() not in pids and len(set(pids)) <= 2
+
+
+@pytest.mark.parametrize("experiment", sorted(GOLDEN_CONFIGS))
+def test_sweep_without_a_pinnable_blas_runs_here(experiment, instance_pids, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.setattr(sweeps, "_openblas_threads", lambda: None)
+    cfg = golden_config(experiment)
+    report = json.loads(report_bytes(run_sweep(cfg), tmp_path / "report")["r.json"])
+    assert instance_pids() == [os.getpid()] * (cfg.ensemble * len(cfg.dimensions))
+    assert_matches_golden(report, json.loads((GOLDEN_DIR / f"{experiment}.json").read_text()))
