@@ -3,7 +3,7 @@
 Given a kernel operator I_k with kernel phi(x) dd_f(x, y) psi(y) on discrete
 measures, certify(kop, n_values) materializes its matrix M once, runs a fully
 constructive pipeline for each n and verifies every result against one SVD
-of M:
+of M, taken on a helper thread while the pipeline runs:
 
   1. normalize weights and function (||phi|| = ||psi|| = lip = 1); the
      normalized matrix is M divided by the removed norm product;
@@ -387,7 +387,9 @@ def build_certificates(kop: WeightedKernelOperator, n_values) -> list:
     """
     n_values = _checked_n_values(n_values)
     # The certificates of an identically zero kernel never read its matrix.
-    return _certificates(kop, n_values, None if _zero_kernel(kop) else materialize(kop))
+    m = None if _zero_kernel(kop) else materialize(kop)
+    build = _builder(kop)
+    return [build(m, n) for n in n_values]
 
 
 def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
@@ -395,13 +397,41 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
 
     Returns the singular spectrum of materialize(kop) and one (certificate,
     VerificationReport) pair per n.  Raises CertificateUnsoundError if a
-    certificate fails verification, and ValidationError, before the SVD, if
-    the pipeline's intermediates would overflow.
+    certificate fails verification, ValidationError, before the SVD, if the
+    pipeline's intermediates would overflow, and ConvergenceError if the SVD
+    does not converge.
+
+    The SVD runs on a helper thread while this thread builds the
+    certificates; both only read M, and numpy releases the GIL inside LAPACK.
+    The thread is joined before certify returns or raises.  Peak memory is M
+    plus the SVD's Fortran copy and workspace plus the certificates'
+    temporaries, which coexist.  The spectrum is the same call on the same
+    input as a serial singular_spectrum(M), so its bits do not change.
     """
     n_values = _checked_n_values(n_values)
     m = materialize(kop)
-    certificates = _certificates(kop, n_values, m)
-    spectrum = singular_spectrum(m)
+    build = _builder(kop)
+    # Imported here, like the sweep pool: importing liplab does not need it.
+    import threading
+
+    outcome = []
+
+    def take_spectrum():
+        try:
+            outcome.append(singular_spectrum(m))
+        except Exception as exc:  # raised again on the calling thread
+            outcome.append(exc)
+
+    # A daemon, so an interrupt during the join does not wait for LAPACK at exit.
+    thread = threading.Thread(target=take_spectrum, name="certify-svd", daemon=True)
+    thread.start()
+    try:
+        certificates = [build(m, n) for n in n_values]
+    finally:
+        thread.join()
+    spectrum, = outcome
+    if isinstance(spectrum, Exception):
+        raise spectrum
     return spectrum, [(cert, verify_certificate(kop, cert, spectrum=spectrum))
                       for cert in certificates]
 
@@ -418,22 +448,26 @@ def _zero_kernel(kop: WeightedKernelOperator) -> bool:
     return kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0
 
 
-def _certificates(kop: WeightedKernelOperator, n_values: list, m) -> list:
-    """The certificates of build_certificates, given m = materialize(kop)."""
+def _builder(kop: WeightedKernelOperator):
+    """build(m, n), the certificate for n given m = materialize(kop).
+
+    The pipeline's overflow checks run here, so certify raises their
+    ValidationError before it starts the SVD.
+    """
     if _zero_kernel(kop):
         # Identically zero kernel: certify rank 0 directly.
         radius = kop.support_radius
-        return [WeakDecayCertificate(
+        return lambda m, n: WeakDecayCertificate(
             n=n, truncation_radius=radius,
             heavy_x=np.empty(0, dtype=int), heavy_y=np.empty(0, dtype=int),
             partition=IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
             defect_counts={"column": 0, "row": 0},
             defect_rank=0, residual_hs=0.0, empirical_bound=0.0, analytic_bound=0.0,
             scale=0.0, components={"tail_hs": 0.0, "diag_hs": 0.0},
-        ) for n in n_values]
+        )
     unit, scale = normalize(kop)
     fx, fy = _f_at_atoms(unit)
-    return [_certificate(m, unit, scale, fx, fy, n) for n in n_values]
+    return lambda m, n: _certificate(m, unit, scale, fx, fy, n)
 
 
 def _f_at_atoms(unit: WeightedKernelOperator) -> list:

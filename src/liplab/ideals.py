@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .linalg import as_matrix
 
 # Monotonicity repair threshold: increases beyond this are a hard error.
@@ -44,9 +44,16 @@ def as_spectrum(values) -> np.ndarray:
 
 
 def singular_spectrum(m) -> np.ndarray:
-    """Singular values of a matrix, nonincreasing, length min(rows, cols)."""
+    """Singular values of a matrix, nonincreasing, length min(rows, cols).
+
+    Raises ConvergenceError if LAPACK does not converge.
+    """
     mat = as_matrix(m)
-    return as_spectrum(np.linalg.svd(mat, compute_uv=False))
+    try:
+        values = np.linalg.svd(mat, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular values failed at shape {mat.shape}: {exc}") from exc
+    return as_spectrum(values)
 
 
 def schatten_norm(s, p: float) -> float:

@@ -133,10 +133,14 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition M = U diag(s) V^T.
 
     Returns (s, U, V) with s nonincreasing and nonnegative.  The reconstruction
-    residual contract is SVD_RESIDUAL_TOL * (1 + ||M||_F).
+    residual contract is SVD_RESIDUAL_TOL * (1 + ||M||_F).  Raises
+    ConvergenceError if LAPACK does not converge or the contract is not met.
     """
     mat = as_matrix(m)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    try:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"svd failed at shape {mat.shape}: {exc}") from exc
     # Sign canonicalization must flip U columns and V columns together so the
     # product U diag(s) V^T is unchanged.
     colsign = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])

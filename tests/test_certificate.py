@@ -1,19 +1,25 @@
 import dataclasses
+import json
 import math
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from liplab import certificate
 from liplab.certificate import (IntervalPartition, build_certificate, build_certificates,
-                                certify, diag_weight_bound, flat_bound, heavy_atoms, mask,
-                                normalize, partition, split_blocks, verify_certificate)
+                                certificate_to_dict, certify, diag_weight_bound, flat_bound,
+                                heavy_atoms, mask, normalize, partition, split_blocks,
+                                verify_certificate)
 from liplab.errors import (CertificateUnsoundError, PartitionInfeasibleError,
                            ValidationError)
 from liplab.functions import (absolute_value, clamp_function, constant_function,
-                              identity_function, piecewise_linear)
+                              function_from_spec, identity_function, piecewise_linear)
 from liplab.ideals import singular_spectrum, singular_value_at
 from liplab.linalg import frobenius
-from liplab.measures import discrete_measure, kernel_operator, materialize
+from liplab.measures import discrete_measure, kernel_operator, materialize, read_kernel_operator
 from liplab.rng import make_rng, random_kernel_operator
 from oracles import (correction_ratios, dense_certificate, diag_block_hs,
                      doubling_truncation_radius, lower_corrected_matrix, orthonormal_columns,
@@ -442,6 +448,16 @@ def test_certificate_rejects_overflowing_spread():
         build_certificate(kop, 2)
 
 
+@pytest.mark.parametrize("call", [certify, build_certificates])
+def test_certify_names_a_non_finite_function_first(call):
+    # sqrt(x^2 + delta^2) is inf at every atom; materialize says so before the
+    # pipeline's overflow checks see the same values.
+    f = function_from_spec({"kind": "smooth_ramp", "delta": 1e200})
+    kop = random_kernel_operator(make_rng(8, 0), f, 10, 10)
+    with pytest.raises(ValidationError, match="non-finite at an atom"):
+        call(kop, [2])
+
+
 def test_certificate_soundness_random_battery():
     for seed in range(15):
         rng = make_rng(seed, 62)
@@ -520,6 +536,72 @@ def test_build_certificates_shares_one_matrix():
         build_certificates(kop, [])
     with pytest.raises(ValidationError):
         certify(kop, [])
+
+
+GOLDEN_OPERATOR = Path(__file__).resolve().parent / "golden" / "certify_operator.txt"
+
+
+@pytest.mark.parametrize("operator", ["golden", "rectangular", "zero_kernel"])
+def test_certify_equals_serial_pipeline(operator):
+    # certify takes its SVD on a helper thread; every output must keep the bits
+    # of the serial singular_spectrum + build_certificates + verify_certificate.
+    kop = {
+        "golden": lambda: read_kernel_operator(GOLDEN_OPERATOR),  # 60 x 80, pwl
+        "rectangular": lambda: random_kernel_operator(make_rng(68, 0), absolute_value(), 90, 55),
+        "zero_kernel": lambda: random_kernel_operator(make_rng(68, 1), constant_function(2.0),
+                                                      30, 40),
+    }[operator]()
+    n_values = [1, 2, 4, 8, 16]
+    threads = threading.active_count()
+    spectrum, results = certify(kop, n_values)
+    assert threading.active_count() == threads
+    serial = singular_spectrum(materialize(kop))
+    assert spectrum.dtype == serial.dtype and spectrum.tobytes() == serial.tobytes()
+    certificates = build_certificates(kop, n_values)
+    assert ([json.dumps(certificate_to_dict(cert)) for cert, _ in results]
+            == [json.dumps(certificate_to_dict(cert)) for cert in certificates])
+    assert ([repr(report) for _, report in results]
+            == [repr(verify_certificate(kop, cert, spectrum=serial)) for cert in certificates])
+
+
+def fail_svd_off_main_thread(monkeypatch) -> list:
+    """Make np.linalg.svd raise LinAlgError on any thread but the main one.
+
+    Returns the list of the thread names it raised on.
+    """
+    raised = []
+    svd = np.linalg.svd
+
+    def helper_fails(m, *args, **options):
+        if threading.current_thread() is threading.main_thread():
+            return svd(m, *args, **options)
+        raised.append(threading.current_thread().name)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", helper_fails)
+    return raised
+
+
+def test_certify_joins_its_thread_when_a_certificate_fails(monkeypatch):
+    failed = threading.Event()
+
+    def slow_spectrum(m):
+        # Still running when the build has raised and certify's caller looks.
+        failed.wait(timeout=10.0)
+        time.sleep(0.2)
+        return singular_spectrum(m)
+
+    def fail(*args):
+        failed.set()
+        raise ValidationError("residual failed")
+
+    monkeypatch.setattr(certificate, "singular_spectrum", slow_spectrum)
+    monkeypatch.setattr(certificate, "_residual_squares", fail)
+    kop = random_kernel_operator(make_rng(69, 0), absolute_value(), 40, 50)
+    threads = threading.active_count()
+    with pytest.raises(ValidationError, match="residual failed"):
+        certify(kop, [2, 4])
+    assert threading.active_count() == threads
 
 
 def test_verify_zero_operator():

@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liplab import doi, measures, sweeps
+from liplab import certificate, doi, measures, sweeps
 from liplab.certificate import build_certificates, certify
 from liplab.cli import main
 from liplab.errors import ValidationError
@@ -17,6 +18,7 @@ from liplab.functions import absolute_value, constant_function, function_from_sp
 from liplab.linalg import read_matrix, write_matrix
 from liplab.measures import kernel_operator, write_kernel_operator
 from liplab.rng import make_rng, random_kernel_operator
+from test_certificate import fail_svd_off_main_thread
 from test_sweeps import GOLDEN_DIR, assert_matches_golden
 
 
@@ -106,7 +108,10 @@ def test_certify_matches_golden(tmp_path):
     # The normalized f values are near 1e200: their squares overflow.
     ([0.0, 1.0], [0.5, 2.0], {"kind": "shifted_abs", "t": 1e200}, "1,2"),
 ])
-def test_certify_rejects_overflowing_intermediates(tmp_path, mu, nu, spec, n):
+def test_certify_rejects_overflowing_intermediates(tmp_path, monkeypatch, mu, nu, spec, n):
+    spectra = []
+    monkeypatch.setattr(certificate, "singular_spectrum", spectra.append)
+    threads = threading.active_count()
     kop = kernel_operator(mu, [0.5, 0.5], [1.0, 1.0], nu, [0.5, 0.5], [1.0, 1.0],
                           function_from_spec(spec))
     n_values = [int(k) for k in n.split(",")]
@@ -115,6 +120,30 @@ def test_certify_rejects_overflowing_intermediates(tmp_path, mu, nu, spec, n):
             call(kop, n_values)
     write_kernel_operator(tmp_path / "kop.txt", kop)
     assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", n]) == 2
+    # Rejected before the SVD: its thread never started.
+    assert spectra == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failure, code, prefix", [
+    ("svd", 2, "error:"),  # LAPACK gives up on the helper thread
+    ("verify", 3, "unsound:"),
+])
+def test_certify_failures_on_either_side_of_the_join(monkeypatch, capsys, failure, code,
+                                                     prefix):
+    if failure == "svd":
+        raised = fail_svd_off_main_thread(monkeypatch)
+    else:
+        raised = []
+        monkeypatch.setattr(certificate, "WEAK_NORM_CONSTANT", 0.0)
+    threads = threading.active_count()
+    argv = ["certify", "--input", str(GOLDEN_DIR / "certify_operator.txt"), "--n", "2,4"]
+    assert main(argv) == code
+    assert threading.active_count() == threads
+    assert raised == (["certify-svd"] if failure == "svd" else [])
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith(prefix)
 
 
 def test_certify_bad_n(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from liplab.errors import ConvergenceError, ValidationError
+from liplab.ideals import singular_spectrum
 from liplab.linalg import (EIG_RESIDUAL_TOL, ORTHONORMALITY_TOL, SVD_RESIDUAL_TOL,
                            SpectralDecomposition, as_symmetric, eigh_symmetric, frobenius,
                            read_matrix, svd, write_matrix)
@@ -42,6 +43,16 @@ def test_eigh_lapack_failure_is_convergence_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(ConvergenceError):
         eigh_symmetric(np.eye(2))
+
+
+@pytest.mark.parametrize("call", [svd, singular_spectrum])
+def test_svd_lapack_failure_is_convergence_error(monkeypatch, call):
+    def fail(m, **options):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceError):
+        call(np.eye(2))
 
 
 @pytest.mark.parametrize("vals, frame, error", [
