@@ -401,37 +401,24 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
     pipeline's intermediates would overflow, and ConvergenceError if the SVD
     does not converge.
 
-    The SVD runs on a helper thread while this thread builds the
+    The SVD runs on a one-worker executor while this thread builds the
     certificates; both only read M, and numpy releases the GIL inside LAPACK.
-    The thread is joined before certify returns or raises.  Peak memory is M
-    plus the SVD's Fortran copy and workspace plus the certificates'
-    temporaries, which coexist.  The spectrum is the same call on the same
-    input as a serial singular_spectrum(M), so its bits do not change.
+    Leaving the executor joins its thread, so certify never returns or raises
+    with the SVD still running, and an SVD error is raised again here.  Peak
+    memory is M plus the SVD's Fortran copy and workspace plus the
+    certificates' temporaries, which coexist.  The spectrum is the same call on
+    the same input as a serial singular_spectrum(M), so its bits do not change.
     """
     n_values = _checked_n_values(n_values)
     m = materialize(kop)
     build = _builder(kop)
     # Imported here, like the sweep pool: importing liplab does not need it.
-    import threading
+    from concurrent.futures import ThreadPoolExecutor
 
-    outcome = []
-
-    def take_spectrum():
-        try:
-            outcome.append(singular_spectrum(m))
-        except Exception as exc:  # raised again on the calling thread
-            outcome.append(exc)
-
-    # A daemon, so an interrupt during the join does not wait for LAPACK at exit.
-    thread = threading.Thread(target=take_spectrum, name="certify-svd", daemon=True)
-    thread.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="certify-svd") as helper:
+        svd = helper.submit(singular_spectrum, m)
         certificates = [build(m, n) for n in n_values]
-    finally:
-        thread.join()
-    spectrum, = outcome
-    if isinstance(spectrum, Exception):
-        raise spectrum
+    spectrum = svd.result()
     return spectrum, [(cert, verify_certificate(kop, cert, spectrum=spectrum))
                       for cert in certificates]
 
@@ -576,25 +563,3 @@ def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, 
         norm_product=product,
         weak_ratio=weak / product if product > 0 else 0.0,
     )
-
-
-def certificate_to_dict(cert: WeakDecayCertificate) -> dict:
-    return {
-        "n": cert.n,
-        "truncation_radius": cert.truncation_radius,
-        "heavy_x": [int(i) for i in cert.heavy_x],
-        "heavy_y": [int(i) for i in cert.heavy_y],
-        "partition": {
-            "edges": [float(e) for e in cert.partition.edges],
-            "phi_weights": [float(w) for w in cert.partition.phi_weights],
-            "psi_weights": [float(w) for w in cert.partition.psi_weights],
-            "n": cert.partition.n,
-        },
-        "defect_rank": cert.defect_rank,
-        "residual_hs": cert.residual_hs,
-        "empirical_bound": cert.empirical_bound,
-        "analytic_bound": cert.analytic_bound,
-        "scale": cert.scale,
-        "components": {k: float(v) for k, v in sorted(cert.components.items())},
-        "defect_counts": dict(cert.defect_counts),
-    }

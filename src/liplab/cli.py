@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import asdict, replace
 
-from .certificate import certificate_to_dict, certify
+from .certificate import certify
 from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
 from .errors import (ConvergenceError, EvaluationError, SoundnessError, ValidationError,
                      json_text, parse_json, read_json, write_text)
@@ -76,7 +76,7 @@ def _cmd_certify(args) -> int:
         raise ValidationError(f"--n must be comma-separated integers: {args.n!r}") from exc
     records = []
     for cert, report in certify(kop, n_values)[1]:
-        records.append({**certificate_to_dict(cert), "verification": asdict(report)})
+        records.append({**asdict(cert), "verification": asdict(report)})
         print(f"n={cert.n}: s_{cert.defect_rank} <= {cert.empirical_bound!r} "
               f"(observed {report.singular_value!r}) OK", file=sys.stderr)
     payload = json_text({"certificates": records})

@@ -7,6 +7,8 @@ import numbers
 import reprlib
 import sys
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Rejected input or parameter (bad shape, non-finite entry, out-of-range value)."""
@@ -61,8 +63,14 @@ def write_text(path, text: str, what: str) -> None:
 
 
 def json_text(value) -> str:
-    """The one JSON output form: indent 2, sorted keys, a final newline."""
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    """The one JSON output form: indent 2, sorted keys, numpy arrays as lists, a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True, default=_json_array) + "\n"
+
+
+def _json_array(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class EvaluationError(ValueError):

@@ -7,8 +7,8 @@ per-dimension maxima.  Bounded ratios across dimensions are the empirical
 signature of the dimension-free inequalities this package studies.  Identical
 configs (including the seed) produce byte-identical reports.
 
-run_sweep is the only loop.  It runs the (size, instance) pairs on every
-available core, in forked worker processes pinned to one BLAS thread.  An
+run_sweep is the only loop.  It pins BLAS to one thread and runs the (size,
+instance) pairs on every available core, in forked worker processes.  An
 experiment is one instance function (rng, f, dim, cfg) -> (row, spectrum) plus
 one _EXPERIMENTS entry naming its columns, its summary and its size label.
 liplab.doi checks the DOI contracts and liplab.certificate verifies
@@ -302,39 +302,37 @@ def _instance(cfg: SweepConfig, size: int, idx: int):
 def _run_instances(cfg: SweepConfig) -> list:
     """_instance of every (size, instance) pair of cfg, sizes outermost.
 
-    With more than one pair and more than one available core, the pairs run in
-    a pool of forked workers, one per core, largest sizes first so that the
-    biggest instances do not form the tail.  Forked workers inherit the loaded
-    modules and their state.  A pool runs only if the loaded BLAS can be pinned
-    to one thread: workers that each start the parent's BLAS threads
-    oversubscribe the cores and run slower than this process alone.  Otherwise
-    the pairs run here, pinned to one BLAS thread for the duration if possible.
+    The loaded BLAS is pinned to one thread for the whole sweep, and the
+    caller's thread count is restored afterwards.  With more than one pair and
+    more than one available core, the pairs run in a pool of forked workers,
+    one per core, largest sizes first so that the biggest instances do not form
+    the tail.  Forked workers inherit the loaded modules and their state, the
+    pin included.  A pool runs only if the loaded BLAS can be pinned: workers
+    that each start the parent's BLAS threads oversubscribe the cores and run
+    slower than this process alone.  Otherwise the pairs run here.
     """
     pairs = [(size, idx) for size in cfg.dimensions for idx in range(cfg.ensemble)]
     threads = _openblas_threads()
-    if threads is None:
-        return [_instance(cfg, *pair) for pair in pairs]
-    get_threads, set_threads = threads
-    workers = min(len(pairs), _cores())
-    if workers == 1:
-        before = get_threads()
-        set_threads(1)
-        try:
-            return [_instance(cfg, *pair) for pair in pairs]
-        finally:
-            set_threads(before)
-    # Imported here: a pool is not needed to import liplab, and they cost import time.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                               initializer=set_threads, initargs=(1,))
+    workers = 1 if threads is None else min(len(pairs), _cores())
+    get_threads, set_threads = threads or (lambda: None, lambda count: None)
+    before = get_threads()
+    set_threads(1)
     try:
-        largest_first = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
-        futures = {i: pool.submit(_instance, cfg, *pairs[i]) for i in largest_first}
-        return [futures[i].result() for i in range(len(pairs))]
+        if workers == 1:
+            return [_instance(cfg, *pair) for pair in pairs]
+        # Imported here: a pool is not needed to import liplab, and they cost import time.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+        try:
+            largest_first = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
+            futures = {i: pool.submit(_instance, cfg, *pairs[i]) for i in largest_first}
+            return [futures[i].result() for i in range(len(pairs))]
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
+        set_threads(before)
 
 
 def _cores() -> int:

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import threading
 import time
@@ -10,11 +9,10 @@ import pytest
 
 from liplab import certificate
 from liplab.certificate import (IntervalPartition, build_certificate, build_certificates,
-                                certificate_to_dict, certify, diag_weight_bound, flat_bound,
-                                heavy_atoms, mask, normalize, partition, split_blocks,
-                                verify_certificate)
+                                certify, diag_weight_bound, flat_bound, heavy_atoms, mask,
+                                normalize, partition, split_blocks, verify_certificate)
 from liplab.errors import (CertificateUnsoundError, PartitionInfeasibleError,
-                           ValidationError)
+                           ValidationError, json_text)
 from liplab.functions import (absolute_value, clamp_function, constant_function,
                               function_from_spec, identity_function, piecewise_linear)
 from liplab.ideals import singular_spectrum, singular_value_at
@@ -558,8 +556,8 @@ def test_certify_equals_serial_pipeline(operator):
     serial = singular_spectrum(materialize(kop))
     assert spectrum.dtype == serial.dtype and spectrum.tobytes() == serial.tobytes()
     certificates = build_certificates(kop, n_values)
-    assert ([json.dumps(certificate_to_dict(cert)) for cert, _ in results]
-            == [json.dumps(certificate_to_dict(cert)) for cert in certificates])
+    assert ([json_text(dataclasses.asdict(cert)) for cert, _ in results]
+            == [json_text(dataclasses.asdict(cert)) for cert in certificates])
     assert ([repr(report) for _, report in results]
             == [repr(verify_certificate(kop, cert, spectrum=serial)) for cert in certificates])
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from liplab import certificate, doi, measures, sweeps
 from liplab.certificate import build_certificates, certify
 from liplab.cli import main
-from liplab.errors import ValidationError
+from liplab.errors import ValidationError, json_text
 from liplab.functions import absolute_value, constant_function, function_from_spec
 from liplab.linalg import read_matrix, write_matrix
 from liplab.measures import kernel_operator, write_kernel_operator
@@ -102,6 +102,14 @@ def test_certify_matches_golden(tmp_path):
     assert_matches_golden(json.loads(out.read_text()), golden)
 
 
+def test_json_text_writes_arrays_as_lists_and_nothing_else():
+    assert json_text({"a": np.array([[1, 2]]), "b": np.arange(2.0)}) == json_text(
+        {"a": [[1, 2]], "b": [0.0, 1.0]})
+    for value in (np.int64(1), {1, 2}, object()):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json_text({"x": value})
+
+
 @pytest.mark.parametrize("mu, nu, spec, n", [
     # The support window [-R, R] is wider than the float range.
     ([9e307, 1e308], [9.5e307, 1.2e308], {"kind": "abs"}, "2"),
@@ -140,7 +148,7 @@ def test_certify_failures_on_either_side_of_the_join(monkeypatch, capsys, failur
     argv = ["certify", "--input", str(GOLDEN_DIR / "certify_operator.txt"), "--n", "2,4"]
     assert main(argv) == code
     assert threading.active_count() == threads
-    assert raised == (["certify-svd"] if failure == "svd" else [])
+    assert raised == (["certify-svd_0"] if failure == "svd" else [])
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1].startswith(prefix)

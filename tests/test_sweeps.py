@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liplab import sweeps
+from liplab import doi, sweeps
 from liplab.doi import doi_apply
-from liplab.errors import ValidationError
+from liplab.errors import SoundnessError, ValidationError
 from liplab.functions import absolute_value, identity_function
 from liplab.ideals import (s_Omega_norm, s_omega_norm, schatten_norm, singular_spectrum,
                            weak_s1_quasinorm)
@@ -306,21 +306,27 @@ def test_report_bytes_do_not_depend_on_worker_count(experiment, tmp_path, monkey
     assert reports[0] == reports[1] == reports[2]
 
 
-@pytest.fixture
-def instance_pids(tmp_path, monkeypatch):
-    """Two cores, and a reader of the ids of the processes that ran each sweep instance."""
-    log = tmp_path / "pids"
+def log_instances(tmp_path, monkeypatch, record):
+    """Two cores, and a reader of the words record() returned as each sweep instance began."""
+    log = tmp_path / "instances"
     log.touch()
     make_rng_ = sweeps.make_rng
 
     def logging_make_rng(*key):
         with open(log, "a") as fh:  # one short append per instance, from any process
-            fh.write(f"{os.getpid()}\n")
+            fh.write(f"{record()}\n")
         return make_rng_(*key)
 
     monkeypatch.setattr(sweeps, "make_rng", logging_make_rng)
     monkeypatch.setattr(sweeps, "_cores", lambda: 2)
-    return lambda: [int(pid) for pid in log.read_text().split()]
+    return lambda: [line.split() for line in log.read_text().splitlines()]
+
+
+@pytest.fixture
+def instance_pids(tmp_path, monkeypatch):
+    """Two cores, and a reader of the ids of the processes that ran each sweep instance."""
+    read = log_instances(tmp_path, monkeypatch, os.getpid)
+    return lambda: [int(pid) for pid, in read()]
 
 
 def test_sweep_runs_in_workers_with_a_pinnable_blas(instance_pids):
@@ -331,6 +337,30 @@ def test_sweep_runs_in_workers_with_a_pinnable_blas(instance_pids):
     pids = instance_pids()
     assert len(pids) == cfg.ensemble * len(cfg.dimensions)
     assert os.getpid() not in pids and len(set(pids)) <= 2
+
+
+def test_workers_inherit_the_pin_and_the_caller_gets_its_threads_back(tmp_path, monkeypatch):
+    threads = sweeps._openblas_threads()
+    if threads is None:
+        pytest.skip("no loaded OpenBLAS whose thread count can be set")
+    get_threads, set_threads = threads
+    read = log_instances(tmp_path, monkeypatch, lambda: f"{os.getpid()} {get_threads()}")
+    cfg = cfg_with(experiment="trace_class", dimensions=[4], ensemble=2)
+    before = get_threads()
+    set_threads(2)
+    try:
+        run_sweep(cfg)
+        assert get_threads() == 2
+        ran = read()
+        assert len(ran) == 2
+        assert all(int(pid) != os.getpid() and count == "1" for pid, count in ran)
+        # A worker that raises: the error reaches the caller, the count is restored.
+        monkeypatch.setattr(doi, "S2_SLACK", -1.0)
+        with pytest.raises(SoundnessError):
+            run_sweep(cfg)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
 
 
 @pytest.mark.parametrize("experiment", sorted(GOLDEN_CONFIGS))
