@@ -3,7 +3,8 @@
 Given a kernel operator I_k with kernel phi(x) dd_f(x, y) psi(y) on discrete
 measures, certify(kop, n_values) materializes its matrix M once, runs a fully
 constructive pipeline for each n and verifies every result against one SVD
-of M, taken on a helper thread while the pipeline runs:
+of M, taken on a helper thread; build_certificate is the one-n form, unverified.
+A zero kernel (lip, phi or psi zero) gets rank 0 unmaterialized; otherwise:
 
   1. normalize weights and function (||phi|| = ||psi|| = lip = 1); the
      normalized matrix is M divided by the removed norm product;
@@ -371,25 +372,17 @@ class WeakDecayCertificate:
 
 
 def build_certificate(kop: WeightedKernelOperator, n: int) -> WeakDecayCertificate:
-    """The certificate for one n; see build_certificates."""
-    return build_certificates(kop, [n])[0]
+    """Run the constructive pipeline for one n, without verification (see certify).
 
-
-def build_certificates(kop: WeightedKernelOperator, n_values) -> list:
-    """Run the constructive pipeline for each n, materializing the operator once.
-
-    Each certificate satisfies s_{defect_rank}(M) <= empirical_bound for
+    The certificate satisfies s_{defect_rank}(M) <= empirical_bound for
     M = materialize(kop), with defect_rank <= 7n: the difference between M
     and the measured residual factors through the heavy rows/columns and the
     defect-vector spans, and an extra codimension n converts the HS norm into
     the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).  Raises
     ValidationError if the pipeline's intermediates would overflow.
     """
-    n_values = _checked_n_values(n_values)
-    # The certificates of an identically zero kernel never read its matrix.
-    m = None if _zero_kernel(kop) else materialize(kop)
-    build = _builder(kop)
-    return [build(m, n) for n in n_values]
+    _checked_n_values([n])
+    return _prepare(kop)[1](n)
 
 
 def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
@@ -410,14 +403,13 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
     the same input as a serial singular_spectrum(M), so its bits do not change.
     """
     n_values = _checked_n_values(n_values)
-    m = materialize(kop)
-    build = _builder(kop)
+    m, build = _prepare(kop)
     # Imported here, like the sweep pool: importing liplab does not need it.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1, thread_name_prefix="certify-svd") as helper:
         svd = helper.submit(singular_spectrum, m)
-        certificates = [build(m, n) for n in n_values]
+        certificates = [build(n) for n in n_values]
     spectrum = svd.result()
     return spectrum, [(cert, verify_certificate(kop, cert, spectrum=spectrum))
                       for cert in certificates]
@@ -431,20 +423,15 @@ def _checked_n_values(n_values) -> list:
     return n_values
 
 
-def _zero_kernel(kop: WeightedKernelOperator) -> bool:
-    return kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0
+def _prepare(kop: WeightedKernelOperator):
+    """(M, build): M = materialize(kop), zeros for a zero kernel, and build(n).
 
-
-def _builder(kop: WeightedKernelOperator):
-    """build(m, n), the certificate for n given m = materialize(kop).
-
-    The pipeline's overflow checks run here, so certify raises their
-    ValidationError before it starts the SVD.
+    materialize's checks run first, then the pipeline's overflow checks, so
+    certify raises their ValidationError before it starts the SVD.
     """
-    if _zero_kernel(kop):
-        # Identically zero kernel: certify rank 0 directly.
+    if kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0:
         radius = kop.support_radius
-        return lambda m, n: WeakDecayCertificate(
+        return np.zeros((kop.mu.size, kop.nu.size)), lambda n: WeakDecayCertificate(
             n=n, truncation_radius=radius,
             heavy_x=np.empty(0, dtype=int), heavy_y=np.empty(0, dtype=int),
             partition=IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
@@ -452,9 +439,10 @@ def _builder(kop: WeightedKernelOperator):
             defect_rank=0, residual_hs=0.0, empirical_bound=0.0, analytic_bound=0.0,
             scale=0.0, components={"tail_hs": 0.0, "diag_hs": 0.0},
         )
+    m = materialize(kop)
     unit, scale = normalize(kop)
     fx, fy = _f_at_atoms(unit)
-    return lambda m, n: _certificate(m, unit, scale, fx, fy, n)
+    return m, lambda n: _certificate(m, unit, scale, fx, fy, n)
 
 
 def _f_at_atoms(unit: WeightedKernelOperator) -> list:

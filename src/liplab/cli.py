@@ -22,7 +22,7 @@ from .errors import (ConvergenceError, EvaluationError, SoundnessError, Validati
 from .functions import function_from_spec
 from .linalg import eigh_symmetric, matrix_text, read_matrix, write_matrix
 from .measures import read_kernel_operator
-from .sweeps import emit_report, load_config, run_sweep
+from .sweeps import FORMATS, emit_report, load_config, run_sweep
 
 # The failure exit codes; main is the only code that returns them.
 EXIT_INVALID = 2
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", help="override the config output path")
-    p.add_argument("--format", choices=("csv", "json"), help="override the config format")
+    p.add_argument("--format", choices=FORMATS, help="override the config format")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

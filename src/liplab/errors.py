@@ -17,14 +17,14 @@ class ValidationError(ValueError):
 def checked(value, kind, where: str):
     """value converted to kind, or a ValidationError naming where.
 
-    kind is int (within 64 bits), float (any finite number), dict, or [kind]
-    for a list of such values.  Booleans are not numbers here.
+    kind is int (within 64 bits), float (any finite number), dict, str, bool,
+    or [kind] for a list of such values.  Booleans are not numbers here.
     """
     if isinstance(kind, list):
         if isinstance(value, (list, tuple)):
             return [checked(v, kind[0], where) for v in value]
-    elif kind is dict:
-        if isinstance(value, dict):
+    elif kind in (dict, str, bool):
+        if isinstance(value, kind):
             return value
     elif (isinstance(value, numbers.Integral if kind is int else numbers.Real)
           and not isinstance(value, bool)

@@ -167,11 +167,6 @@ def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
     return np.clip(quot, -f.lip, f.lip)
 
 
-def divided_difference(f: LipschitzFunction, x: float, y: float) -> float:
-    """The loewner_matrix entry at one point pair: (f(x) - f(y)) / (x - y), 0 when x == y."""
-    return float(loewner_matrix(f, x, y)[0, 0])
-
-
 def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarray:
     """Spectral calculus f(A) = frame diag(f(lambda)) frame^T, symmetrized."""
     vals = np.asarray(f(dec.eigenvalues), dtype=float)

@@ -182,15 +182,17 @@ def read_matrix(path) -> np.ndarray:
         rows, cols = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ValidationError(f"matrix file {path}: bad header {raw[0]!r}") from exc
+    if rows < 1 or cols < 1:
+        raise ValidationError(f"matrix file {path}: rows and cols must be >= 1: {raw[0]!r}")
     if len(raw) - 1 != rows:
         raise ValidationError(f"matrix file {path}: expected {rows} rows, got {len(raw) - 1}")
-    out = np.empty((rows, cols))
+    out = []  # built from the rows read, not allocated from the header's claim
     for i, line in enumerate(raw[1:]):
         parts = line.split()
         if len(parts) != cols:
             raise ValidationError(f"matrix file {path}: row {i} has {len(parts)} entries, expected {cols}")
         try:
-            out[i] = [float(p) for p in parts]
+            out.append(np.array([float(p) for p in parts]))
         except ValueError as exc:
             raise ValidationError(f"matrix file {path}: bad number in row {i}") from exc
     return as_matrix(out)

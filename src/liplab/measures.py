@@ -55,20 +55,8 @@ class DiscreteMeasure:
         return self.positions.size
 
     @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    @property
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.positions))) if self.size else 0.0
-
-
-def discrete_measure(positions, masses) -> DiscreteMeasure:
-    """Canonicalize (sort by position) and validate a discrete measure."""
-    pos = np.atleast_1d(np.asarray(positions, dtype=float))
-    mass = np.atleast_1d(np.asarray(masses, dtype=float))
-    order = np.argsort(pos, kind="stable")
-    return DiscreteMeasure(pos[order], mass[order])
 
 
 def weighted_l2_norm(values, masses) -> float:

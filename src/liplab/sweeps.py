@@ -36,6 +36,7 @@ from .rng import (make_rng, random_kernel_operator, random_prescribed_spectrum,
                   random_symmetric, random_unit)
 
 EXPERIMENTS = ("rank_one", "trace_class", "matsaev", "interp", "certificate")
+FORMATS = ("csv", "json")
 _TAG = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
 DEFAULT_N_VALUES = (4, 8, 16, 32, 64)
@@ -70,8 +71,11 @@ class SweepConfig:
             object.__setattr__(self, "epsilon", checked(self.epsilon, float, "epsilon"))
             if not (self.p >= 1.0 and self.epsilon > 0.0):
                 raise ValidationError("interp sweep requires p >= 1 and epsilon > 0")
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be 'csv' or 'json', got {self.format!r}")
+        if self.format not in FORMATS:
+            raise ValidationError(f"format must be one of {FORMATS}, got {self.format!r}")
+        if self.out is not None:
+            checked(self.out, str, "out")
+        checked(self.emit_curves, bool, "emit_curves")
 
 
 def _integers(name: str, values, least: int) -> tuple:
@@ -400,4 +404,4 @@ def emit_report(report: ExperimentReport, path: str, format: str = "csv") -> Non
             write_text(f"{path}.curves.csv",
                        _csv_text(["label", "j", "s_j", "weighted"], report.curves), "report")
     else:
-        raise ValidationError(f"format must be 'csv' or 'json', got {format!r}")
+        raise ValidationError(f"format must be one of {FORMATS}, got {format!r}")

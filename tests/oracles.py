@@ -1,14 +1,12 @@
 """Dense reference implementations that tests compare the library against.
 
-The certificate pipeline used to run on full matrices: a truncation stage, an
-SVD of all defect vectors at once, dense projectors and an explicit residual
-matrix.  The library now works interval by interval and streams the residual;
-the dense path lives on here as the oracle it must agree with.
+The certificate pipeline used to run on full matrices: an SVD of all defect
+vectors at once, dense projectors and an explicit residual matrix.  The
+library now works interval by interval and streams the residual; the dense
+path lives on here as the oracle it must agree with.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -55,36 +53,6 @@ def complement_projector(vectors, dim: int) -> np.ndarray:
     """
     basis = orthonormal_columns(vectors, dim)
     return np.eye(dim) - basis @ basis.T
-
-
-def truncation_tail_hs(kop: WeightedKernelOperator, radius: float) -> float:
-    """HS norm of the kernel block discarded by restricting to [-radius, radius]."""
-    m = materialize(kop)
-    inside_x = np.abs(kop.mu.positions) <= radius
-    inside_y = np.abs(kop.nu.positions) <= radius
-    keep = inside_x[:, None] & inside_y[None, :]
-    return float(np.sqrt(np.sum(np.where(keep, 0.0, m) ** 2)))
-
-
-def doubling_truncation_radius(kop: WeightedKernelOperator, n: int, start: float = 1.0) -> float:
-    """Smallest radius from the doubling search start, 2*start, ... with tail < 1/sqrt(n)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if start <= 0:
-        raise ValidationError("start radius must be positive")
-    cap = kop.support_radius
-    target = 1.0 / math.sqrt(n)
-    radius = float(start)
-    while radius < cap and truncation_tail_hs(kop, radius) >= target:
-        radius *= 2.0
-    return min(radius, cap)
-
-
-def truncate(kop: WeightedKernelOperator, radius: float) -> WeightedKernelOperator:
-    """Zero the weights of all atoms outside [-radius, radius] (closed window)."""
-    phi = np.where(np.abs(kop.mu.positions) <= radius, kop.phi, 0.0)
-    psi = np.where(np.abs(kop.nu.positions) <= radius, kop.psi, 0.0)
-    return kop.with_weights(phi, psi)
 
 
 def diag_block_hs(kop: WeightedKernelOperator, part: IntervalPartition) -> float:
@@ -167,19 +135,17 @@ def taylor_defects(part: IntervalPartition, kop: WeightedKernelOperator, side: s
 def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     """The certificate's residual norms and defect rank by the dense pipeline.
 
-    Materializes the truncated and masked operators, orthonormalizes all
+    Materializes the masked operator, orthonormalizes all
     defects of a side with one SVD, projects with dense matrix products and
     takes the HS norm of the full residual matrix E.  Norms are in the
     original operator's scale, as in WeakDecayCertificate; defect_counts are
     the numbers of raw defects per side.
     """
     unit, scale = normalize(kop)
-    radius = unit.support_radius
-    trunc = truncate(unit, radius)
-    hx = heavy_atoms(trunc.mu, trunc.phi, n)
-    hy = heavy_atoms(trunc.nu, trunc.psi, n)
-    masked = mask(trunc, hx, hy)
-    part = partition(masked, n, radius)
+    hx = heavy_atoms(unit.mu, unit.phi, n)
+    hy = heavy_atoms(unit.nu, unit.psi, n)
+    masked = mask(unit, hx, hy)
+    part = partition(masked, n, unit.support_radius)
 
     m_masked = materialize(masked)
     _, _, upper_mask, lower_mask, diag_mask = correction_ratios(part, masked)
@@ -192,7 +158,7 @@ def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     q_row = orthonormal_columns(row_defects, masked.mu.size, rel_tol=DEFECT_ANGLE_TOL)
     upper = m_upper - (m_upper @ q_col) @ q_col.T
     lower = m_lower - q_row @ (q_row.T @ m_lower)
-    e = (materialize(unit) - materialize(trunc)) + m_diag + upper + lower
+    e = m_diag + upper + lower
     return {
         "residual_hs": scale * frobenius(e),
         "diag_hs": scale * frobenius(m_diag),

@@ -8,20 +8,21 @@ import numpy as np
 import pytest
 
 from liplab import certificate
-from liplab.certificate import (IntervalPartition, build_certificate, build_certificates,
-                                certify, diag_weight_bound, flat_bound, heavy_atoms, mask,
-                                normalize, partition, split_blocks, verify_certificate)
+from liplab.certificate import (IntervalPartition, build_certificate, certify,
+                                diag_weight_bound, flat_bound, heavy_atoms, mask, normalize,
+                                partition, split_blocks, verify_certificate)
 from liplab.errors import (CertificateUnsoundError, PartitionInfeasibleError,
                            ValidationError, json_text)
 from liplab.functions import (absolute_value, clamp_function, constant_function,
                               function_from_spec, identity_function, piecewise_linear)
 from liplab.ideals import singular_spectrum, singular_value_at
 from liplab.linalg import frobenius
-from liplab.measures import discrete_measure, kernel_operator, materialize, read_kernel_operator
+from liplab.measures import (DiscreteMeasure, kernel_operator, materialize,
+                             read_kernel_operator)
 from liplab.rng import make_rng, random_kernel_operator
 from oracles import (correction_ratios, dense_certificate, diag_block_hs,
-                     doubling_truncation_radius, lower_corrected_matrix, orthonormal_columns,
-                     taylor_defects, truncate, truncation_tail_hs, upper_corrected_matrix)
+                     lower_corrected_matrix, orthonormal_columns, taylor_defects,
+                     upper_corrected_matrix)
 
 
 def masked_instance(seed, atoms, n, f=None):
@@ -80,56 +81,22 @@ def test_truncation_radius_is_support_radius():
     # n = 1: any window with tail < 1 would do; still the support radius.
     for n in (1, 4):
         assert build_certificate(kop, n).truncation_radius == kop.support_radius <= 3.0
-    assert truncation_tail_hs(kop, kop.support_radius) == 0.0
-
-
-def test_truncation_tail_matches_double_sum_oracle():
-    # Two clusters; cutting at radius 2 discards exactly the far one.
-    pos = np.concatenate([np.linspace(-0.5, 0.5, 10), np.linspace(4.0, 5.0, 10)])
-    kop = kernel_operator(pos, np.full(20, 0.05), np.ones(20),
-                          pos + 1e-3, np.full(20, 0.05), np.ones(20), absolute_value())
-    unit, _ = normalize(kop)
-    m = materialize(unit)
-    keep = (np.abs(unit.mu.positions) <= 2.0)[:, None] & (np.abs(unit.nu.positions) <= 2.0)[None, :]
-    oracle = math.sqrt(float(np.sum(np.where(keep, 0.0, m) ** 2)))
-    assert truncation_tail_hs(unit, 2.0) == pytest.approx(oracle, rel=1e-12)
-    assert oracle > 0.0
-
-
-def test_doubling_truncation_radius_cuts_support():
-    pos = np.concatenate([np.linspace(-0.5, 0.5, 40), [6.0]])
-    masses = np.concatenate([np.full(40, 1.0 / 41), [1e-9]])
-    kop = kernel_operator(pos, masses, np.ones(41), pos, masses, np.ones(41), absolute_value())
-    unit, _ = normalize(kop)
-    # The lone far atom carries negligible mass, so the search stops early.
-    radius = doubling_truncation_radius(unit, 4)
-    assert radius < unit.support_radius
-    assert truncation_tail_hs(unit, radius) < 1.0 / math.sqrt(4)
-
-
-def test_truncate_zeroes_outside_window():
-    pos = np.array([-3.0, 0.0, 3.0])
-    kop = kernel_operator(pos, np.ones(3), np.ones(3), pos, np.ones(3), np.ones(3),
-                          absolute_value())
-    cut = truncate(kop, 1.0)
-    np.testing.assert_array_equal(cut.phi, [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(cut.psi, [0.0, 1.0, 0.0])
 
 
 # -------------------------------------------------------------- heavy atoms
 
 def test_heavy_atoms_uniform_none():
-    m = discrete_measure(np.arange(10.0), np.full(10, 0.1))
+    m = DiscreteMeasure(np.arange(10.0), np.full(10, 0.1))
     assert heavy_atoms(m, np.ones(10), 1).size == 0
 
 
 def test_heavy_atoms_concentrated():
     # A single atom carrying the whole unit weight is heavy for every n.
-    m = discrete_measure([0.0], [1.0])
+    m = DiscreteMeasure([0.0], [1.0])
     for n in (1, 2, 8):
         np.testing.assert_array_equal(heavy_atoms(m, np.ones(1), n), [0])
     # At n = 1 only full concentration qualifies.
-    spread = discrete_measure([0.0, 1.0], [0.999, 0.001])
+    spread = DiscreteMeasure([0.0, 1.0], [0.999, 0.001])
     assert heavy_atoms(spread, np.ones(2), 1).size == 0
     np.testing.assert_array_equal(heavy_atoms(spread, np.ones(2), 2), [0])
 
@@ -138,7 +105,7 @@ def test_heavy_atoms_matches_brute_force():
     rng = make_rng(42, 0)
     for _ in range(20):
         count = int(rng.integers(5, 60))
-        m = discrete_measure(np.sort(rng.uniform(-3, 3, count)), rng.uniform(0.01, 1.0, count))
+        m = DiscreteMeasure(np.sort(rng.uniform(-3, 3, count)), rng.uniform(0.01, 1.0, count))
         w = rng.standard_normal(count)
         total = float(np.sum(w * w * m.masses))
         w = w / math.sqrt(total)
@@ -446,14 +413,14 @@ def test_certificate_rejects_overflowing_spread():
         build_certificate(kop, 2)
 
 
-@pytest.mark.parametrize("call", [certify, build_certificates])
+@pytest.mark.parametrize("call", [certify, build_certificate])
 def test_certify_names_a_non_finite_function_first(call):
     # sqrt(x^2 + delta^2) is inf at every atom; materialize says so before the
     # pipeline's overflow checks see the same values.
     f = function_from_spec({"kind": "smooth_ramp", "delta": 1e200})
     kop = random_kernel_operator(make_rng(8, 0), f, 10, 10)
     with pytest.raises(ValidationError, match="non-finite at an atom"):
-        call(kop, [2])
+        call(kop, [2] if call is certify else 2)
 
 
 def test_certificate_soundness_random_battery():
@@ -506,7 +473,8 @@ def test_build_certificates_matches_dense_oracle():
     n_values = (1, 2, 4, 8, 16, 32)
     checked = heavy = collapsed = 0
     for kop in kops:
-        for n, cert in zip(n_values, build_certificates(kop, n_values)):
+        for n in n_values:
+            cert = build_certificate(kop, n)
             dense = dense_certificate(kop, n)
             assert cert.defect_rank == dense["defect_rank"]
             assert cert.defect_counts == dense["defect_counts"]
@@ -525,13 +493,12 @@ def test_build_certificates_shares_one_matrix():
     rng = make_rng(67, 0)
     kop = random_kernel_operator(rng, absolute_value(), 30, 40)
     single = [build_certificate(kop, n).residual_hs for n in (2, 8)]
-    assert [c.residual_hs for c in build_certificates(kop, [2, 8])] == single
     spectrum, results = certify(kop, [2, 8])
     assert [cert.residual_hs for cert, _ in results] == single
     assert all(report.passed for _, report in results)
     np.testing.assert_array_equal(spectrum, singular_spectrum(materialize(kop)))
     with pytest.raises(ValidationError):
-        build_certificates(kop, [])
+        build_certificate(kop, 0)
     with pytest.raises(ValidationError):
         certify(kop, [])
 
@@ -542,7 +509,7 @@ GOLDEN_OPERATOR = Path(__file__).resolve().parent / "golden" / "certify_operator
 @pytest.mark.parametrize("operator", ["golden", "rectangular", "zero_kernel"])
 def test_certify_equals_serial_pipeline(operator):
     # certify takes its SVD on a helper thread; every output must keep the bits
-    # of the serial singular_spectrum + build_certificates + verify_certificate.
+    # of the serial singular_spectrum + build_certificate + verify_certificate.
     kop = {
         "golden": lambda: read_kernel_operator(GOLDEN_OPERATOR),  # 60 x 80, pwl
         "rectangular": lambda: random_kernel_operator(make_rng(68, 0), absolute_value(), 90, 55),
@@ -555,7 +522,7 @@ def test_certify_equals_serial_pipeline(operator):
     assert threading.active_count() == threads
     serial = singular_spectrum(materialize(kop))
     assert spectrum.dtype == serial.dtype and spectrum.tobytes() == serial.tobytes()
-    certificates = build_certificates(kop, n_values)
+    certificates = [build_certificate(kop, n) for n in n_values]
     assert ([json_text(dataclasses.asdict(cert)) for cert, _ in results]
             == [json_text(dataclasses.asdict(cert)) for cert in certificates])
     assert ([repr(report) for _, report in results]

@@ -3,6 +3,7 @@ import math
 import sys
 import tempfile
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liplab import certificate, doi, measures, sweeps
-from liplab.certificate import build_certificates, certify
+from liplab.certificate import build_certificate, certify
 from liplab.cli import main
 from liplab.errors import ValidationError, json_text
-from liplab.functions import absolute_value, constant_function, function_from_spec
+from liplab.functions import absolute_value, constant_function, function_from_spec, smooth_ramp
 from liplab.linalg import read_matrix, write_matrix
 from liplab.measures import kernel_operator, write_kernel_operator
 from liplab.rng import make_rng, random_kernel_operator
@@ -76,6 +77,11 @@ def test_validation_exit_codes(matrices, capsys):
                  str(matrices / "missing.txt"), str(matrices / "B.txt")]) == 2
     assert main(["fdelta", "--function", "{broken",
                  str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
+    # Headers claiming no rows, negative columns or a 72.8 TiB matrix.
+    for text in ("0 -1\n", "1 -1\n0.5\n", "1 10000000000000\n0.5\n"):
+        (matrices / "bad.txt").write_text(text)
+        assert main(["fdelta", "--function", '{"kind": "abs"}',
+                     str(matrices / "bad.txt"), str(matrices / "B.txt")]) == 2
 
 
 def test_certify(tmp_path, capsys):
@@ -123,9 +129,10 @@ def test_certify_rejects_overflowing_intermediates(tmp_path, monkeypatch, mu, nu
     kop = kernel_operator(mu, [0.5, 0.5], [1.0, 1.0], nu, [0.5, 0.5], [1.0, 1.0],
                           function_from_spec(spec))
     n_values = [int(k) for k in n.split(",")]
-    for call in (certify, build_certificates):
-        with pytest.raises(ValidationError, match="float range"):
-            call(kop, n_values)
+    with pytest.raises(ValidationError, match="float range"):
+        certify(kop, n_values)
+    with pytest.raises(ValidationError, match="float range"):
+        build_certificate(kop, n_values[0])
     write_kernel_operator(tmp_path / "kop.txt", kop)
     assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", n]) == 2
     # Rejected before the SVD: its thread never started.
@@ -187,7 +194,8 @@ def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch, m
     monkeypatch.setattr(sweeps, "_cores", lambda: 1)
     # An identically zero kernel is certified without its matrix.
     zero = random_kernel_operator(make_rng(7, 0), constant_function(2.0), 30, 30)
-    assert [c.defect_rank for c in build_certificates(zero, [2, 4])] == [0, 0]
+    assert [build_certificate(zero, n).defect_rank for n in (2, 4)] == [0, 0]
+    assert [cert.defect_rank for cert, _ in certify(zero, [2, 4])[1]] == [0, 0]
     assert calls == []
     kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
     op_path = tmp_path / "kop.txt"
@@ -203,11 +211,27 @@ def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch, m
     assert len(calls) == 1 + 4  # one per operator of the 2 x 2 ensemble
 
 
+def test_certify_zero_kernel_ignores_the_function(tmp_path):
+    # phi = 0, so the kernel is zero whatever f is: sqrt(x^2 + delta^2), inf at
+    # every atom, is never evaluated.
+    kop = kernel_operator([0.5, 1.5], [1.0, 1.0], [0.0, 0.0], [-1.0, 2.0], [1.0, 1.0],
+                          [1.0, 1.0], smooth_ramp(1e200))
+    write_kernel_operator(tmp_path / "kop.txt", kop)
+    out = tmp_path / "certs.json"
+    assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "2,4",
+                 "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["certificates"]
+    assert all(r.pop("verification")["passed"] for r in records)
+    assert [r["defect_rank"] for r in records] == [0, 0]
+    assert records == [json.loads(json_text(asdict(build_certificate(kop, n)))) for n in (2, 4)]
+
+
 def test_bad_n_rejected_before_materializing(materialize_calls):
     kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
-    for call in (certify, build_certificates):
-        with pytest.raises(ValidationError):
-            call(kop, [0])
+    with pytest.raises(ValidationError):
+        certify(kop, [0])
+    with pytest.raises(ValidationError):
+        build_certificate(kop, 0)
     assert materialize_calls == []
 
 
@@ -407,6 +431,8 @@ _NOT_UTF8 = b"\xff\xfe"
                       b'FUNCTION\n{"kind": "abs"}\n'}))
 @example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _NOT_UTF8 + b"{}"}))
 @example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": "[" * 100_000}))  # too deep
+@example((["fdelta", "--function", '{"kind": "abs"}', "{dir}/A.txt", "{dir}/B.txt"],
+          {"A.txt": "1 10000000000000\n0.5\n", "B.txt": "1 1\n2.0\n"}))
 def test_cli_fuzz_exits_0_2_or_3(call):
     argv, files = call
     with tempfile.TemporaryDirectory() as tmp:
@@ -444,6 +470,10 @@ def test_sweep_bad_config(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 2
     cfg_path.write_text(json.dumps({"experiment": "rank_one", "dimensions": 5, "ensemble": 1,
                                     "seed": 0, "function": {"kind": "abs"}}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    # out must be a path string.
+    cfg_path.write_text(json.dumps({"experiment": "rank_one", "dimensions": [4], "ensemble": 1,
+                                    "seed": 0, "function": {"kind": "abs"}, "out": 3.5}))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 

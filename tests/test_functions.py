@@ -4,8 +4,8 @@ import pytest
 from liplab.errors import EvaluationError, ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
                               clamp_function, constant_function, default_suite,
-                              divided_difference, function_from_spec, identity_function,
-                              loewner_matrix, piecewise_linear, shifted_absolute, smooth_ramp)
+                              function_from_spec, identity_function, loewner_matrix,
+                              piecewise_linear, shifted_absolute, smooth_ramp)
 from liplab.linalg import eigh_symmetric, frobenius
 from liplab.rng import make_rng, random_symmetric
 from oracles import estimate_lip_seminorm
@@ -23,14 +23,14 @@ def test_suite_lipschitz_property():
 
 def test_divided_difference_examples():
     f = absolute_value()
-    assert divided_difference(f, -1.0, 0.0) == -1.0
-    assert divided_difference(f, 3.7, 3.7) == 0.0
-    assert divided_difference(identity_function(), 2.0, 5.0) == 1.0
+    assert loewner_matrix(f, -1.0, 0.0)[0, 0] == -1.0
+    assert loewner_matrix(f, 3.7, 3.7)[0, 0] == 0.0
+    assert loewner_matrix(identity_function(), 2.0, 5.0)[0, 0] == 1.0
 
 
 def test_divided_difference_zero_on_diagonal_every_function():
     for f in default_suite():
-        assert divided_difference(f, 1.234, 1.234) == 0.0
+        assert loewner_matrix(f, 1.234, 1.234)[0, 0] == 0.0
 
 
 def test_divided_difference_bounded_by_lip():
@@ -38,7 +38,7 @@ def test_divided_difference_bounded_by_lip():
     for f in default_suite():
         for _ in range(200):
             x, y = rng.uniform(-5, 5, 2)
-            assert abs(divided_difference(f, x, y)) <= f.lip
+            assert abs(loewner_matrix(f, x, y)[0, 0]) <= f.lip
 
 
 def test_loewner_identity_function():

@@ -2,26 +2,30 @@ import numpy as np
 import pytest
 
 from liplab.errors import ValidationError
-from liplab.functions import absolute_value, constant_function, divided_difference
-from liplab.measures import (DiscreteMeasure, WeightedKernelOperator, discrete_measure,
-                             kernel_operator, materialize, read_kernel_operator,
-                             weighted_l2_norm, write_kernel_operator)
+from liplab.functions import absolute_value, constant_function
+from liplab.measures import (DiscreteMeasure, WeightedKernelOperator, kernel_operator,
+                             materialize, read_kernel_operator, weighted_l2_norm,
+                             write_kernel_operator)
 from liplab.rng import make_rng, random_kernel_operator
 
 
 def test_discrete_measure_sorts():
-    m = discrete_measure([2.0, -1.0, 0.5], [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(m.positions, [-1.0, 0.5, 2.0])
-    np.testing.assert_array_equal(m.masses, [2.0, 3.0, 1.0])
-    assert m.total_mass == 6.0
-    assert m.support_radius == 2.0
+    # kernel_operator sorts each side's measure; masses follow their positions.
+    kop = kernel_operator([2.0, -1.0, 0.5], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0],
+                          [3.0, -4.0], [5.0, 6.0], [1.0, 1.0], absolute_value())
+    np.testing.assert_array_equal(kop.mu.positions, [-1.0, 0.5, 2.0])
+    np.testing.assert_array_equal(kop.mu.masses, [2.0, 3.0, 1.0])
+    np.testing.assert_array_equal(kop.nu.positions, [-4.0, 3.0])
+    np.testing.assert_array_equal(kop.nu.masses, [6.0, 5.0])
+    assert kop.mu.support_radius == 2.0
+    assert kop.support_radius == 4.0
 
 
 def test_discrete_measure_validation():
     with pytest.raises(ValidationError):
-        discrete_measure([0.0, 0.0], [1.0, 1.0])  # duplicate positions
+        DiscreteMeasure([0.0, 0.0], [1.0, 1.0])  # duplicate positions
     with pytest.raises(ValidationError):
-        discrete_measure([0.0, 1.0], [1.0, 0.0])  # nonpositive mass
+        DiscreteMeasure([0.0, 1.0], [1.0, 0.0])  # nonpositive mass
     with pytest.raises(ValidationError):
         DiscreteMeasure(np.array([1.0, 0.0]), np.array([1.0, 1.0]))  # unsorted
 
@@ -34,7 +38,7 @@ def test_kernel_operator_sorts_joint():
 
 
 def test_weight_shape_validation():
-    mu = discrete_measure([0.0, 1.0], [1.0, 1.0])
+    mu = DiscreteMeasure([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValidationError):
         WeightedKernelOperator(mu, mu, np.ones(3), np.ones(2), absolute_value())
 
@@ -67,7 +71,8 @@ def test_materialize_hs_matches_double_sum_oracle():
     oracle = 0.0
     for i in range(kop.mu.size):
         for j in range(kop.nu.size):
-            dd = divided_difference(kop.f, kop.mu.positions[i], kop.nu.positions[j])
+            x, y = kop.mu.positions[i], kop.nu.positions[j]
+            dd = 0.0 if x == y else (abs(x) - abs(y)) / (x - y)
             oracle += (kop.mu.masses[i] * kop.phi[i] ** 2 *
                        dd ** 2 * kop.psi[j] ** 2 * kop.nu.masses[j])
     assert hs_sq == pytest.approx(oracle, abs=1e-10 * max(1.0, oracle))

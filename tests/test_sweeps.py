@@ -52,7 +52,8 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         load_config(dict(BASE, bogus_field=1))
     for bad in ({"dimensions": 5}, {"n_values": 4}, {"ensemble": "x"}, {"seed": "abc"},
-                {"dimensions": [4, None]}, {"experiment": "interp", "p": "x", "epsilon": 0.5}):
+                {"dimensions": [4, None]}, {"experiment": "interp", "p": "x", "epsilon": 0.5},
+                {"out": 1}, {"out": 3.5}, {"emit_curves": "no"}):
         with pytest.raises(ValidationError):
             cfg_with(**bad)
 
