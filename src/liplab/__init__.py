@@ -10,8 +10,8 @@ from .certificate import (IntervalPartition, WeakDecayCertificate, build_certifi
                           flat_bound, heavy_atoms, mask, normalize, partition, split_blocks,
                           verify_certificate)
 from .doi import check_birman_solomyak, doi_apply, f_delta, rank_one_perturb
-from .errors import (CertificateUnsoundError, ConvergenceError, EvaluationError,
-                     PartitionInfeasibleError, SoundnessError, ValidationError)
+from .errors import (CertificateUnsoundError, ConvergenceError, PartitionInfeasibleError,
+                     SoundnessError, ValidationError)
 from .functions import (LipschitzFunction, absolute_value, apply_function, clamp_function,
                         constant_function, default_suite, function_from_spec, identity_function,
                         loewner_matrix, piecewise_linear, shifted_absolute, smooth_ramp)

@@ -4,7 +4,8 @@ Given a kernel operator I_k with kernel phi(x) dd_f(x, y) psi(y) on discrete
 measures, certify(kop, n_values) materializes its matrix M once, runs a fully
 constructive pipeline for each n and verifies every result against one SVD
 of M, taken on a helper thread; build_certificate is the one-n form, unverified.
-A zero kernel (lip, phi or psi zero) gets rank 0 unmaterialized; otherwise:
+A zero kernel (lip, phi or psi zero) is not materialized: its certificates
+have rank 0 and the same fields as any other, every bound 0.  Otherwise:
 
   1. normalize weights and function (||phi|| = ||psi|| = lip = 1); the
      normalized matrix is M divided by the removed norm product;
@@ -71,7 +72,7 @@ def normalize(kop: WeightedKernelOperator) -> tuple[WeightedKernelOperator, floa
     scaled = WeightedKernelOperator(
         kop.mu, kop.nu, kop.phi / a, kop.psi / b, kop.f.rescaled(1.0 / lip)
     )
-    return scaled, a * b * lip
+    return scaled, kop.norm_product
 
 
 def heavy_atoms(measure: DiscreteMeasure, weights, n: int) -> np.ndarray:
@@ -155,10 +156,10 @@ class IntervalPartition:
         """Index of the interval containing each position (last interval closed)."""
         return _interval_index(self.edges, positions)
 
-    def distance(self, i: int, j: int) -> float:
-        """Distance between intervals i and j (0 for adjacent or identical)."""
+    def distance(self, i, j) -> np.ndarray:
+        """Distance between intervals i and j (0 for adjacent or identical); broadcasts."""
         e = self.edges
-        return float(max(0.0, e[j] - e[i + 1], e[i] - e[j + 1]))
+        return np.maximum(0.0, np.maximum(e[j] - e[i + 1], e[i] - e[j + 1]))
 
 
 def _interval_index(edges: np.ndarray, positions) -> np.ndarray:
@@ -239,10 +240,9 @@ def flat_bound(part: IntervalPartition) -> tuple[float, float]:
     with short the column-interval length for the upper family and the
     row-interval length for the lower family.
     """
-    lengths, left, right = part.lengths, part.edges[:-1], part.edges[1:]
+    lengths, index = part.lengths, np.arange(part.count)
     families = _families(part)
-    distance = np.maximum(0.0, np.maximum(left[None, :] - right[:, None],
-                                          left[:, None] - right[None, :]))
+    distance = part.distance(index[:, None], index[None, :])
     short = np.where(families == 1, lengths[None, :], lengths[:, None])
     denom = short + distance
     ratio = np.divide(short, denom, out=np.zeros_like(denom), where=denom > 0.0)
@@ -310,23 +310,22 @@ def _defect_basis(base: np.ndarray, fvals: np.ndarray, idx: np.ndarray) -> _Defe
     return _DefectBasis(segments, segment, vectors, int(np.count_nonzero(kept)), int(count))
 
 
-def _residual_squares(m: np.ndarray, scale: float, hx, hy, part: IntervalPartition,
-                      ix: np.ndarray, iy: np.ndarray, col: _DefectBasis,
-                      row: _DefectBasis) -> np.ndarray:
+def _residual_squares(m: np.ndarray, scale: float, masked: WeightedKernelOperator,
+                      part: IntervalPartition, ix: np.ndarray, iy: np.ndarray,
+                      col: _DefectBasis, row: _DefectBasis) -> np.ndarray:
     """Squared HS norms of the diagonal, upper and lower parts of the residual.
 
-    A is m / scale with the heavy rows hx and columns hy zeroed, U and L its
-    upper and lower families; ix and iy are the intervals of its rows and
-    columns.  Families are constant on interval blocks and Q is block
-    diagonal, so U Qc and Qr^T L take one small product per interval.
+    A is m / scale with the rows and columns of masked's zero weights (the
+    heavy atoms among them) zeroed, U and L its upper and lower families; ix
+    and iy are the intervals of its rows and columns.  Families are constant
+    on interval blocks and Q is block diagonal, so U Qc and Qr^T L take one
+    small product per interval.
     E = A - U Qc Qc^T - Qr Qr^T L is formed one row block at a time and its
     squares are summed per family.
     """
     families = _families(part)
-    col_factor = np.full(m.shape[1], 1.0 / scale)
-    col_factor[hy] = 0.0
-    row_keep = np.ones(m.shape[0])
-    row_keep[hx] = 0.0
+    col_factor = np.where(masked.psi != 0.0, 1.0 / scale, 0.0)
+    row_keep = masked.phi != 0.0
     # up[i, t, s] = (U Qc)[i, direction t of column segment s];
     # low[t, s, j] = (Qr^T L)[direction t of row segment s, j].
     up = np.stack([(m[:, seg] @ (col.vectors[:, seg] * col_factor[seg]).T)
@@ -339,7 +338,7 @@ def _residual_squares(m: np.ndarray, scale: float, hx, hy, part: IntervalPartiti
     squares = np.zeros(3)
     for rows in row_blocks(*m.shape):
         e = m[rows] * col_factor
-        e[row_keep[rows] == 0.0] = 0.0
+        e[~row_keep[rows]] = 0.0
         for t in range(2):
             e -= up[rows, t][:, col.segment] * col.vectors[t]
             e -= row.vectors[t, rows, None] * low[t][row.segment[rows]]
@@ -430,15 +429,11 @@ def _prepare(kop: WeightedKernelOperator):
     certify raises their ValidationError before it starts the SVD.
     """
     if kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0:
-        radius = kop.support_radius
-        return np.zeros((kop.mu.size, kop.nu.size)), lambda n: WeakDecayCertificate(
-            n=n, truncation_radius=radius,
-            heavy_x=np.empty(0, dtype=int), heavy_y=np.empty(0, dtype=int),
-            partition=IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
-            defect_counts={"column": 0, "row": 0},
-            defect_rank=0, residual_hs=0.0, empirical_bound=0.0, analytic_bound=0.0,
-            scale=0.0, components={"tail_hs": 0.0, "diag_hs": 0.0},
-        )
+        radius, empty = kop.support_radius, np.empty(0, dtype=int)
+        return np.zeros((kop.mu.size, kop.nu.size)), lambda n: _record(
+            n, radius, 0.0, empty, empty,
+            IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
+            {"column": 0, "row": 0}, 0, np.zeros(3))
     m = materialize(kop)
     unit, scale = normalize(kop)
     fx, fy = _f_at_atoms(unit)
@@ -478,7 +473,15 @@ def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float, fx: 
     ix, iy = part.interval_of(unit.mu.positions), part.interval_of(unit.nu.positions)
     col = _defect_basis(masked.psi * np.sqrt(unit.nu.masses), fy, iy)
     row = _defect_basis(masked.phi * np.sqrt(unit.mu.masses), fx, ix)
-    squares = _residual_squares(m, scale, hx, hy, part, ix, iy, col, row)
+    return _record(n, radius, scale, hx, hy, part, {"column": col.count, "row": row.count},
+                   int(hx.size + hy.size + col.rank + row.rank + n),
+                   _residual_squares(m, scale, masked, part, ix, iy, col, row))
+
+
+def _record(n: int, radius: float, scale: float, hx: np.ndarray, hy: np.ndarray,
+            part: IntervalPartition, defect_counts: dict, defect_rank: int,
+            squares: np.ndarray) -> WeakDecayCertificate:
+    """The certificate from the pipeline's results for one n; scale = 0 makes every bound 0."""
     residual = math.sqrt(squares.sum())
     diag_hs, upper_hs, lower_hs = np.sqrt(squares)
     flat_up, flat_low = flat_bound(part)
@@ -486,8 +489,6 @@ def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float, fx: 
     # Analytic chain: the 4/sqrt(n) diagonal bound and the separation-sum
     # bounds for the two corrected families.
     analytic_hs = 4.0 / math.sqrt(n) + flat_up + flat_low
-
-    defect_rank = int(hx.size + hy.size + col.rank + row.rank + n)
     root = math.sqrt(n + 1.0)
     return WeakDecayCertificate(
         n=n,
@@ -495,7 +496,7 @@ def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float, fx: 
         heavy_x=hx,
         heavy_y=hy,
         partition=part,
-        defect_counts={"column": col.count, "row": row.count},
+        defect_counts=defect_counts,
         defect_rank=defect_rank,
         residual_hs=scale * residual,
         empirical_bound=scale * residual / root,

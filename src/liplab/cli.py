@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: fdelta, doi, bscheck, certify, sweep.  Exit codes: 0 success,
-2 validation error (bad input, bad config, bad file, a function non-finite at
+2 a ValidationError (bad input, bad config, bad file, a function non-finite at
 the data, a matrix no decomposition meets its contract on, a contract beyond
-the float range), 3 soundness failure (certificate unsound, a Birman-Solomyak
+the float range), 3 a SoundnessError (certificate unsound, a Birman-Solomyak
 residual out of contract, or the S2 Schur-multiplier bound violated).  The
 library raises; main alone maps its errors to exit codes.  Progress lines go
 to stderr, so a report printed to stdout is the whole of stdout.
@@ -17,8 +17,7 @@ from dataclasses import asdict, replace
 
 from .certificate import certify
 from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
-from .errors import (ConvergenceError, EvaluationError, SoundnessError, ValidationError,
-                     json_text, parse_json, read_json, write_text)
+from .errors import SoundnessError, ValidationError, json_text, parse_json, read_json, write_text
 from .functions import function_from_spec
 from .linalg import eigh_symmetric, matrix_text, read_matrix, write_matrix
 from .measures import read_kernel_operator
@@ -146,7 +145,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, EvaluationError, ConvergenceError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except SoundnessError as exc:

@@ -54,24 +54,25 @@ def doi_apply(f: LipschitzFunction, d1: SpectralDecomposition, d2: SpectralDecom
     return q
 
 
-def _require_delta_in_range(f: LipschitzFunction, ma: np.ndarray, mb: np.ndarray) -> None:
-    """ValidationError unless f(A) - f(B) and the spectral calculus behind it fit the float range.
+def _operator_pair(f: LipschitzFunction, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """A and B symmetrized; ValidationError unless shapes match and f(A) - f(B) fits the floats.
 
     Every entry of f(A) is at most ||f(A)||_2 <= |f(0)| + lip ||A||_F in size, and
     apply_function's symmetrization and the difference each at most double an entry.
     """
-    bound = 2.0 * (abs(float(f(np.zeros(1))[0])) + f.lip * max(frobenius(ma), frobenius(mb)))
-    if not math.isfinite(bound):
-        raise ValidationError("f(A) - f(B) may exceed the float range")
-
-
-def f_delta(f: LipschitzFunction, a, b) -> np.ndarray:
-    """f(A) - f(B) by spectral calculus on each operator."""
     ma = as_symmetric(a)
     mb = as_symmetric(b)
     if ma.shape != mb.shape:
         raise ValidationError(f"A and B must share a dimension, got {ma.shape} and {mb.shape}")
-    _require_delta_in_range(f, ma, mb)
+    bound = 2.0 * (abs(float(f(np.zeros(1))[0])) + f.lip * max(frobenius(ma), frobenius(mb)))
+    if not math.isfinite(bound):
+        raise ValidationError("f(A) - f(B) may exceed the float range")
+    return ma, mb
+
+
+def f_delta(f: LipschitzFunction, a, b) -> np.ndarray:
+    """f(A) - f(B) by spectral calculus on each operator."""
+    ma, mb = _operator_pair(f, a, b)
     return apply_function(f, eigh_symmetric(ma)) - apply_function(f, eigh_symmetric(mb))
 
 
@@ -94,12 +95,8 @@ def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
     rounding, so no contract applies.  Precomputed decompositions may be
     passed to avoid repeated eigendecompositions.
     """
-    ma = as_symmetric(a)
-    mb = as_symmetric(b)
-    if ma.shape != mb.shape:
-        raise ValidationError(f"A and B must share a dimension, got {ma.shape} and {mb.shape}")
+    ma, mb = _operator_pair(f, a, b)
     bound = bs_residual_bound(a, b, f.lip)
-    _require_delta_in_range(f, ma, mb)
     da = dec_a if dec_a is not None else eigh_symmetric(ma)
     db = dec_b if dec_b is not None else eigh_symmetric(mb)
     delta = apply_function(f, da) - apply_function(f, db)

@@ -73,15 +73,11 @@ def _json_array(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class EvaluationError(ValueError):
-    """A function produced a non-finite value where a finite one was required."""
-
-
-class ConvergenceError(RuntimeError):
+class ConvergenceError(ValidationError):
     """A decomposition failed to meet its residual contract."""
 
 
-class PartitionInfeasibleError(RuntimeError):
+class PartitionInfeasibleError(ValidationError):
     """Interval partition cannot satisfy its weight cap; heavy-atom masking was skipped."""
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationError, ValidationError, checked
+from .errors import ValidationError, checked
 from .linalg import SpectralDecomposition
 
 
@@ -173,6 +173,6 @@ def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarr
     bad = ~np.isfinite(vals)
     if np.any(bad):
         where = dec.eigenvalues[bad][0]
-        raise EvaluationError(f"{f.name} is non-finite at eigenvalue {where!r}")
+        raise ValidationError(f"{f.name} is non-finite at eigenvalue {where!r}")
     m = (dec.frame * vals) @ dec.frame.T
     return 0.5 * (m + m.T)

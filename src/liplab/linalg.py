@@ -60,12 +60,11 @@ def frobenius(a) -> float:
     return norm
 
 
-def _canonical_signs(frame: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude entry of each column is positive."""
-    idx = np.argmax(np.abs(frame), axis=0)
-    signs = np.sign(frame[idx, np.arange(frame.shape[1])])
+def _column_signs(frame: np.ndarray) -> np.ndarray:
+    """Per column, the sign of its largest-magnitude entry (1 for a zero column)."""
+    signs = np.sign(frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])])
     signs[signs == 0] = 1.0
-    return frame * signs
+    return signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +116,7 @@ def eigh_symmetric(a) -> SpectralDecomposition:
         vals, frame = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # LAPACK gives up on extreme dynamic ranges
         raise ConvergenceError(f"eigendecomposition failed at dim {m.shape[0]}: {exc}") from exc
-    frame = _canonical_signs(frame)
+    frame = frame * _column_signs(frame)
     dec = SpectralDecomposition(vals, frame)
     scale = 1.0 + frobenius(m)
     floor = 16 * m.shape[0] * np.finfo(float).eps
@@ -143,8 +142,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ConvergenceError(f"svd failed at shape {mat.shape}: {exc}") from exc
     # Sign canonicalization must flip U columns and V columns together so the
     # product U diag(s) V^T is unchanged.
-    colsign = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
-    colsign[colsign == 0] = 1.0
+    colsign = _column_signs(u)
     u = u * colsign
     v = vh.T * colsign
     scale = 1.0 + frobenius(mat)

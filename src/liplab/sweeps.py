@@ -9,8 +9,9 @@ configs (including the seed) produce byte-identical reports.
 
 run_sweep is the only loop.  It pins BLAS to one thread and runs the (size,
 instance) pairs on every available core, in forked worker processes.  An
-experiment is one instance function (rng, f, dim, cfg) -> (row, spectrum) plus
-one _EXPERIMENTS entry naming its columns, its summary and its size label.
+experiment is one instance function (rng, f, dim, cfg) -> (row, spectrum),
+whose row keys in order are the report's columns after instance, size and
+function, plus one _EXPERIMENTS entry naming its summary and its size label.
 liplab.doi checks the DOI contracts and liplab.certificate verifies
 certificates; a broken one ends the sweep as a soundness failure, which the CLI
 turns into exit 3, also when a worker raised it.
@@ -19,7 +20,7 @@ turns into exit 3, also when a worker raised it.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -35,11 +36,14 @@ from .linalg import eigh_symmetric, frobenius
 from .rng import (make_rng, random_kernel_operator, random_prescribed_spectrum,
                   random_symmetric, random_unit)
 
-EXPERIMENTS = ("rank_one", "trace_class", "matsaev", "interp", "certificate")
 FORMATS = ("csv", "json")
-_TAG = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
 DEFAULT_N_VALUES = (4, 8, 16, 32, 64)
+# Largest size a sweep accepts.  An instance holds several size x size float64
+# matrices, and one at 8192 takes 512 MiB.
+MAX_SIZE = 8192
+# Largest ensemble: _run_instances lists every (size, instance) pair before any runs.
+MAX_ENSEMBLE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,14 @@ class SweepConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENTS}")
         object.__setattr__(self, "dimensions", _integers("dimensions", self.dimensions, 2))
+        if max(self.dimensions) > MAX_SIZE:
+            raise ValidationError(f"dimensions must be at most {MAX_SIZE}, "
+                                  f"got {max(self.dimensions)}")
         object.__setattr__(self, "n_values", _integers("n_values", self.n_values, 1))
         object.__setattr__(self, "ensemble", checked(self.ensemble, int, "ensemble"))
-        if self.ensemble < 1:
-            raise ValidationError("ensemble size must be >= 1")
+        if not 1 <= self.ensemble <= MAX_ENSEMBLE:
+            raise ValidationError(f"ensemble size must be in [1, {MAX_ENSEMBLE}], "
+                                  f"got {self.ensemble}")
         object.__setattr__(self, "seed", checked(self.seed, int, "seed"))
         function_from_spec(self.function)  # validate early
         if self.experiment == "interp":
@@ -93,11 +101,10 @@ def load_config(source) -> SweepConfig:
         data = dict(source)
     else:
         data = checked(read_json(source, "config"), dict, f"config {source}")
-    known = {f.name for f in SweepConfig.__dataclass_fields__.values()}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    missing = {"experiment", "dimensions", "ensemble", "seed", "function"} - set(data)
+    missing = {f.name for f in fields(SweepConfig) if f.default is MISSING} - set(data)
     if missing:
         raise ValidationError(f"config is missing required fields: {sorted(missing)}")
     return SweepConfig(**data)
@@ -199,21 +206,18 @@ def _certificate(rng, f: LipschitzFunction, atoms: int, cfg: SweepConfig):
     sweep (it signals an implementation bug).
     """
     spectrum, results = certify(random_kernel_operator(rng, f, atoms, atoms), cfg.n_values)
-    row = {}
+    per_n = {}
     k_bound = k_direct = 0.0
     for n, (cert, report) in zip(cfg.n_values, results):
         s7n = singular_value_at(spectrum, 7 * n)
         k_bound = max(k_bound, n * cert.empirical_bound)
         k_direct = max(k_direct, n * s7n)
-        row[f"rank_n{n}"] = cert.defect_rank
-        row[f"bound_n{n}"] = cert.empirical_bound
-        row[f"analytic_n{n}"] = cert.analytic_bound
-        row[f"s_r_n{n}"] = report.singular_value
-        row[f"s7n_n{n}"] = s7n
+        per_n.update({f"rank_n{n}": cert.defect_rank, f"bound_n{n}": cert.empirical_bound,
+                      f"analytic_n{n}": cert.analytic_bound,
+                      f"s_r_n{n}": report.singular_value, f"s7n_n{n}": s7n})
     # The truncation radius and the weak ratio are reported for the last n.
-    row.update(truncation_radius=cert.truncation_radius, weak_ratio=report.weak_ratio,
-               fitted_K_bound=k_bound, fitted_K_direct=k_direct)
-    return row, spectrum
+    return {"truncation_radius": cert.truncation_radius, "weak_ratio": report.weak_ratio,
+            "fitted_K_bound": k_bound, "fitted_K_direct": k_direct, **per_n}, spectrum
 
 
 def _max_per_dimension(rows: list, dimensions, keys) -> dict:
@@ -237,33 +241,22 @@ def _certificate_summary(rows: list, atoms) -> dict:
 class _Experiment:
     """What one experiment adds to the shared loop in run_sweep."""
 
-    instance: Callable  # (rng, f, size, cfg) -> (row of the own columns, spectrum)
-    columns: tuple
+    instance: Callable  # (rng, f, size, cfg) -> (row, spectrum); the row's keys are the columns
     summary: Callable  # (rows, sizes) -> dict
     size: str = "dimension"
     curve_label: str = "dim"
-    per_n: tuple = ()  # column prefixes repeated for each n in cfg.n_values
 
 
 _EXPERIMENTS = {
-    "rank_one": _Experiment(
-        _rank_one, ("lip", "perturbation", "weak_s1", "rho", "doi_weak_s1", "rho_doi",
-                    "bs_residual", "degenerate"),
-        partial(_max_per_dimension, keys=("rho", "rho_doi"))),
-    "trace_class": _Experiment(
-        _trace_class, ("lip", "t_trace_norm", "s_Omega", "rho"),
-        partial(_max_per_dimension, keys=("rho",))),
-    "matsaev": _Experiment(
-        _matsaev, ("lip", "t_matsaev_norm", "op_norm", "rho"),
-        partial(_max_per_dimension, keys=("rho",))),
-    "interp": _Experiment(
-        _interp, ("lip", "p", "epsilon", "t_norm_p", "doi_norm_p_eps", "rho", "rho_p_to_p"),
-        partial(_max_per_dimension, keys=("rho", "rho_p_to_p"))),
-    "certificate": _Experiment(
-        _certificate, ("truncation_radius", "weak_ratio", "fitted_K_bound", "fitted_K_direct"),
-        _certificate_summary, size="atoms", curve_label="atoms",
-        per_n=("rank_n", "bound_n", "analytic_n", "s_r_n", "s7n_n")),
+    "rank_one": _Experiment(_rank_one, partial(_max_per_dimension, keys=("rho", "rho_doi"))),
+    "trace_class": _Experiment(_trace_class, partial(_max_per_dimension, keys=("rho",))),
+    "matsaev": _Experiment(_matsaev, partial(_max_per_dimension, keys=("rho",))),
+    "interp": _Experiment(_interp, partial(_max_per_dimension, keys=("rho", "rho_p_to_p"))),
+    "certificate": _Experiment(_certificate, _certificate_summary, size="atoms",
+                               curve_label="atoms"),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
+_TAG = {name: i + 1 for i, name in enumerate(EXPERIMENTS)}
 
 
 def run_sweep(cfg: SweepConfig) -> ExperimentReport:
@@ -285,10 +278,8 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
     expected = cfg.ensemble * len(cfg.dimensions)
     if len(rows) != expected:
         raise RuntimeError(f"report has {len(rows)} rows, expected {expected}")
-    columns = (["instance", exp.size, "function", *exp.columns]
-               + [f"{prefix}{n}" for n in cfg.n_values for prefix in exp.per_n])
-    return ExperimentReport(cfg.experiment, columns, rows, exp.summary(rows, cfg.dimensions),
-                            curves)
+    return ExperimentReport(cfg.experiment, list(rows[0]), rows,
+                            exp.summary(rows, cfg.dimensions), curves)
 
 
 def _instance(cfg: SweepConfig, size: int, idx: int):

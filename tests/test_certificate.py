@@ -335,6 +335,15 @@ def test_flat_bound_single_interval():
     assert flat_bound(part) == (0.0, 0.0)
 
 
+def test_distance_broadcasts_like_the_scalar_rule():
+    # flat_bound takes every pair's distance in one broadcast call.
+    for seed in range(10):
+        _, part, _ = masked_instance(seed + 650, 40, 4 + 4 * seed)
+        e, index = part.edges, np.arange(part.count)
+        loop = [[max(0.0, e[j] - e[i + 1], e[i] - e[j + 1]) for j in index] for i in index]
+        assert np.array_equal(part.distance(index[:, None], index[None, :]), loop)
+
+
 def test_separation_sum_constant():
     # Oracle-confirmed constant: for every interval, the separation sum over
     # its upper partners stays below 5 (the enumeration argument gives ~4.6).
@@ -387,6 +396,9 @@ def test_certificate_constant_function_trivial():
     assert cert.residual_hs == 0.0
     assert cert.empirical_bound == 0.0
     assert verify_certificate(kop, cert, spectrum=singular_spectrum(materialize(kop))).passed
+    # The zero-kernel record has the fields of any other certificate, every bound 0.
+    nonzero = build_certificate(dataclasses.replace(kop, f=absolute_value()), 4)
+    assert cert.components == dict.fromkeys(nonzero.components, 0.0)
 
 
 def test_certificate_n1():

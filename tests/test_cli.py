@@ -463,7 +463,7 @@ def test_sweep_command_deterministic(tmp_path):
     json.loads(out4.read_text())
 
 
-def test_sweep_bad_config(tmp_path):
+def test_sweep_bad_config(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": "rank_one"}))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
@@ -475,6 +475,12 @@ def test_sweep_bad_config(tmp_path):
     cfg_path.write_text(json.dumps({"experiment": "rank_one", "dimensions": [4], "ensemble": 1,
                                     "seed": 0, "function": {"kind": "abs"}, "out": 3.5}))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
+    # A size no instance could allocate is rejected before any instance runs.
+    monkeypatch.setattr(sweeps, "_run_instances", lambda cfg: pytest.fail("the sweep ran"))
+    for experiment in ("rank_one", "certificate"):
+        cfg_path.write_text(json.dumps({"experiment": experiment, "dimensions": [10 ** 10],
+                                        "ensemble": 1, "seed": 0, "function": {"kind": "abs"}}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
 @pytest.mark.parametrize("target,guard,value,ensemble", [

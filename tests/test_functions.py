@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liplab.errors import EvaluationError, ValidationError
+from liplab.errors import ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
                               clamp_function, constant_function, default_suite,
                               function_from_spec, identity_function, loewner_matrix,
@@ -119,7 +119,7 @@ def test_apply_respects_affine_maps():
 def test_apply_non_finite_value_names_eigenvalue():
     dec = eigh_symmetric(np.diag([0.0, 4.0]))
     bad = LipschitzFunction("inv", lambda x: np.where(x == 0.0, np.inf, 1.0 / np.maximum(x, 1e-300)), 1.0)
-    with pytest.raises(EvaluationError, match="0.0"):
+    with pytest.raises(ValidationError, match="0.0"):
         apply_function(bad, dec)
 
 

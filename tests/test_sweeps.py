@@ -53,7 +53,9 @@ def test_config_validation():
         load_config(dict(BASE, bogus_field=1))
     for bad in ({"dimensions": 5}, {"n_values": 4}, {"ensemble": "x"}, {"seed": "abc"},
                 {"dimensions": [4, None]}, {"experiment": "interp", "p": "x", "epsilon": 0.5},
-                {"out": 1}, {"out": 3.5}, {"emit_curves": "no"}):
+                {"out": 1}, {"out": 3.5}, {"emit_curves": "no"},
+                # Sizes no instance could allocate, and an ensemble too long to list.
+                {"dimensions": [4, 10 ** 10]}, {"ensemble": 10 ** 10}):
         with pytest.raises(ValidationError):
             cfg_with(**bad)
 
@@ -100,6 +102,15 @@ def test_certificate_sweep_rows():
             assert row[f"s_r_n{n}"] <= row[f"bound_n{n}"] + 1e-9
             assert row[f"bound_n{n}"] <= row[f"analytic_n{n}"] + 1e-9
         assert row["fitted_K_bound"] >= 2 * row["bound_n2"]
+
+
+def test_repeated_n_values_give_one_column_each(tmp_path):
+    cfg = cfg_with(experiment="certificate", dimensions=[12], ensemble=1, n_values=[4, 4])
+    report = run_sweep(cfg)
+    assert report.columns == list(report.rows[0])
+    assert report.columns.count("bound_n4") == 1
+    emit_report(report, str(tmp_path / "r.csv"))
+    assert (tmp_path / "r.csv").read_text().splitlines()[0] == ",".join(report.columns)
 
 
 def test_trace_class_identity_trivial_bound():
