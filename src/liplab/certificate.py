@@ -128,7 +128,9 @@ class IntervalPartition:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "phi_weights", pw)
         object.__setattr__(self, "psi_weights", qw)
-        if edges.size < 2 or np.any(np.diff(edges) < 0):
+        # Neighbours are compared, not subtracted: a difference of edges at
+        # +-1e308 overflows.
+        if edges.size < 2 or np.any(edges[1:] < edges[:-1]):
             raise ValidationError("edges must be nondecreasing with at least two entries")
         count = edges.size - 1
         if pw.shape != (count,) or qw.shape != (count,):
@@ -238,8 +240,12 @@ def flat_bound(part: IntervalPartition) -> tuple[float, float]:
 
     Each is sqrt((4/n^2) * sum over the family of short^2 / (short + dist)^2),
     with short the column-interval length for the upper family and the
-    row-interval length for the lower family.
+    row-interval length for the lower family.  One interval has no such pairs,
+    so its lengths and distances are not evaluated: the zero kernel's single
+    interval [-R, R] may be wider than the float range.
     """
+    if part.count == 1:
+        return 0.0, 0.0
     lengths, index = part.lengths, np.arange(part.count)
     families = _families(part)
     distance = part.distance(index[:, None], index[None, :])

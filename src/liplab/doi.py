@@ -3,16 +3,21 @@
 In finite dimensions the double operator integral with the divided-difference
 symbol is a Schur multiplier in the eigenbases:
 
-    doi(f, D1, D2, T) = U (L o (U^T T V)) V^T,
+    doi(f, D1, D2, T) = U (L o X) V^T,    X = U^T T V,
 
 where U, V are the eigenvector frames, L the Loewner matrix of f at the two
 spectra, and o the entrywise product.  With T = A - B this reproduces
 f(A) - f(B) exactly (Birman and Solomyak).
 
+eigenbasis_product computes L o X, and every path here goes through it:
+doi_apply conjugates it back, birman_solomyak_delta compares its conjugate
+with f(A) - f(B), and a caller that reads only singular values takes them
+from L o X itself, since s(U (L o X) V^T) = s(L o X).
+
 Both contracts the sweeps rest on are checked here, where their values are
-computed: doi_apply the S2 bound ||doi(f, T)||_F <= lip ||T||_F, and
+computed: eigenbasis_product the S2 bound ||L o X||_F <= lip ||T||_F, and
 birman_solomyak_delta the identity residual.  A broken contract raises
-SoundnessError; one beyond the float range, ValidationError before any work.
+SoundnessError; one beyond the float range, ValidationError.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 from .errors import SoundnessError, ValidationError
 from .functions import LipschitzFunction, apply_function, loewner_matrix
 from .linalg import SpectralDecomposition, as_matrix, as_symmetric, eigh_symmetric, frobenius
+from .measures import row_blocks
 
 # Residual contract for the Birman-Solomyak identity, relative to
 # (1 + ||A||_F + ||B||_F) * lip.
@@ -33,25 +39,45 @@ BS_RESIDUAL_TOL = 1e-8
 S2_SLACK = 1e-9
 
 
+def eigenbasis_product(f: LipschitzFunction, d1: SpectralDecomposition,
+                       d2: SpectralDecomposition, x: np.ndarray, t_norm: float) -> np.ndarray:
+    """L o X, the double operator integral of T in the eigenbases: X = U^T T V.
+
+    The Loewner matrix L multiplies x in place, one row block at a time, and
+    x itself is returned, so pass an array the caller owns and no longer
+    needs.  t_norm is ||T||_F.  Every Loewner entry is at most lip in size, so
+    ||L o X||_F, which equals ||doi(f, T)||_F, must be at most lip * t_norm up
+    to S2_SLACK, or SoundnessError is raised.
+    """
+    _require_shape("X", x, d1, d2)
+    allowed = f.lip * t_norm * (1.0 + S2_SLACK)
+    if not math.isfinite(allowed):
+        raise ValidationError("lip * ||T||_F exceeds the float range")
+    for rows in row_blocks(*x.shape):
+        x[rows] *= loewner_matrix(f, d1.eigenvalues[rows], d2.eigenvalues)
+    SoundnessError.require("S2 Schur-multiplier bound violated", frobenius(x), allowed)
+    return x
+
+
 def doi_apply(f: LipschitzFunction, d1: SpectralDecomposition, d2: SpectralDecomposition,
               t) -> np.ndarray:
     """Double operator integral of T against the divided-difference symbol of f.
 
-    Every Loewner entry is at most lip in size, so the result must satisfy
-    ||Q||_F <= lip * ||T||_F up to S2_SLACK, or SoundnessError is raised.
+    The result U (L o X) V^T satisfies the S2 bound of eigenbasis_product.
     """
     mat = as_matrix(t)
-    if mat.shape != (d1.dim, d2.dim):
+    _require_shape("T", mat, d1, d2)
+    t_norm = frobenius(mat)  # before the products: it rejects a T whose norm overflows
+    return d1.frame @ eigenbasis_product(f, d1, d2, d1.frame.T @ mat @ d2.frame,
+                                         t_norm) @ d2.frame.T
+
+
+def _require_shape(name: str, m: np.ndarray, d1: SpectralDecomposition,
+                   d2: SpectralDecomposition) -> None:
+    if m.shape != (d1.dim, d2.dim):
         raise ValidationError(
-            f"T has shape {mat.shape}, expected ({d1.dim}, {d2.dim}) from the decompositions"
+            f"{name} has shape {m.shape}, expected ({d1.dim}, {d2.dim}) from the decompositions"
         )
-    allowed = f.lip * frobenius(mat) * (1.0 + S2_SLACK)
-    if not math.isfinite(allowed):
-        raise ValidationError("lip * ||T||_F exceeds the float range")
-    symbol = loewner_matrix(f, d1.eigenvalues, d2.eigenvalues)
-    q = d1.frame @ (symbol * (d1.frame.T @ mat @ d2.frame)) @ d2.frame.T
-    SoundnessError.require("S2 Schur-multiplier bound violated", frobenius(q), allowed)
-    return q
 
 
 def _operator_pair(f: LipschitzFunction, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +99,9 @@ def _operator_pair(f: LipschitzFunction, a, b) -> tuple[np.ndarray, np.ndarray]:
 def f_delta(f: LipschitzFunction, a, b) -> np.ndarray:
     """f(A) - f(B) by spectral calculus on each operator."""
     ma, mb = _operator_pair(f, a, b)
-    return apply_function(f, eigh_symmetric(ma)) - apply_function(f, eigh_symmetric(mb))
+    delta = apply_function(f, eigh_symmetric(ma))
+    delta -= apply_function(f, eigh_symmetric(mb))
+    return delta
 
 
 def bs_residual_bound(a, b, lip: float) -> float:
@@ -94,14 +122,22 @@ def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
     At lip = 0 the integral is identically 0 and the residual is only frame
     rounding, so no contract applies.  Precomputed decompositions may be
     passed to avoid repeated eigendecompositions.
+
+    A - B is formed only as a temporary inside X = U^T (A - B) V, and f(A) -
+    f(B) is subtracted from the integral in place, so besides A, B and the
+    frames the working set holds f(A) - f(B) and one product at a time.
     """
     ma, mb = _operator_pair(f, a, b)
     bound = bs_residual_bound(a, b, f.lip)
+    t_norm = frobenius(ma - mb)
     da = dec_a if dec_a is not None else eigh_symmetric(ma)
     db = dec_b if dec_b is not None else eigh_symmetric(mb)
-    delta = apply_function(f, da) - apply_function(f, db)
-    integral = doi_apply(f, da, db, ma - mb)
-    residual = frobenius(delta - integral)
+    delta = apply_function(f, da)
+    delta -= apply_function(f, db)
+    gap = da.frame @ eigenbasis_product(f, da, db, da.frame.T @ (ma - mb) @ db.frame,
+                                        t_norm) @ db.frame.T
+    gap -= delta
+    residual = frobenius(gap)
     if f.lip > 0.0:
         SoundnessError.require("Birman-Solomyak residual out of contract", residual, bound)
     return delta, residual

@@ -162,9 +162,10 @@ def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
     fy = np.asarray(f(ys), dtype=float)
     dx = xs[:, None] - ys[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        quot = (fx[:, None] - fy[None, :]) / dx
-    quot = np.where(dx == 0.0, 0.0, quot)
-    return np.clip(quot, -f.lip, f.lip)
+        quot = fx[:, None] - fy[None, :]
+        quot /= dx
+    quot[dx == 0.0] = 0.0
+    return np.clip(quot, -f.lip, f.lip, out=quot)
 
 
 def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarray:
@@ -175,4 +176,6 @@ def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarr
         where = dec.eigenvalues[bad][0]
         raise ValidationError(f"{f.name} is non-finite at eigenvalue {where!r}")
     m = (dec.frame * vals) @ dec.frame.T
-    return 0.5 * (m + m.T)
+    m = m + m.T
+    m *= 0.5
+    return m

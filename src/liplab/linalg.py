@@ -33,10 +33,18 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_symmetric(a) -> np.ndarray:
-    """Validate a square matrix and enforce exact symmetry by averaging."""
+    """Validate a square matrix and enforce exact symmetry by averaging.
+
+    A matrix that is already exactly symmetric, with every entry within half
+    the float range, is returned as it is (not copied): 0.5 * (M + M^T) would
+    equal it bit for bit.  Callers must not write to the result.
+    """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    half = 0.5 * np.finfo(float).max
+    if -half <= m.min() and m.max() <= half and np.array_equal(m, m.T):
+        return m
     with np.errstate(over="ignore"):
         sym = 0.5 * (m + m.T)
     if not np.all(np.isfinite(sym)):
@@ -91,7 +99,8 @@ class SpectralDecomposition:
         if not np.all(vals[1:] >= vals[:-1]):
             raise ValidationError("eigenvalues must be ascending")
         gram = frame.T @ frame
-        defect = np.abs(gram - np.eye(d)).max()
+        gram[np.diag_indices(d)] -= 1.0
+        defect = np.abs(gram, out=gram).max()
         if not defect <= ORTHONORMALITY_TOL * d:
             raise ValidationError(
                 f"frame is not orthonormal: defect {defect:.3e} exceeds {ORTHONORMALITY_TOL * d:.3e}"
@@ -116,11 +125,12 @@ def eigh_symmetric(a) -> SpectralDecomposition:
         vals, frame = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # LAPACK gives up on extreme dynamic ranges
         raise ConvergenceError(f"eigendecomposition failed at dim {m.shape[0]}: {exc}") from exc
-    frame = frame * _column_signs(frame)
+    frame *= _column_signs(frame)
     dec = SpectralDecomposition(vals, frame)
     scale = 1.0 + frobenius(m)
     floor = 16 * m.shape[0] * np.finfo(float).eps
-    residual = frobenius(m - (frame * vals) @ frame.T)
+    rebuilt = (frame * vals) @ frame.T
+    residual = frobenius(np.subtract(m, rebuilt, out=rebuilt))
     if not residual <= min(max(1e-12, floor), EIG_RESIDUAL_TOL) * scale:
         raise ConvergenceError(
             f"eigendecomposition residual {residual:.3e} exceeds contract at dim {m.shape[0]}"

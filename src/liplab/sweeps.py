@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .certificate import certify
-from .doi import birman_solomyak_delta, doi_apply, rank_one_perturb
+from .doi import birman_solomyak_delta, eigenbasis_product, rank_one_perturb
 from .errors import ValidationError, checked, json_text, read_json, write_text
 from .functions import LipschitzFunction, function_from_spec
 from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
@@ -128,36 +128,61 @@ def _rank_one(rng, f: LipschitzFunction, dim: int, cfg: SweepConfig):
 
     Each instance also runs a DOI variant with independent spectral measures
     and a random rank-one T.  birman_solomyak_delta checks the residual
-    before any functional is reported.
+    before any functional is reported.  The two halves run in their own
+    helpers, so neither holds the other's matrices, and f(A) - f(B) is
+    released before the variant starts.
     """
-    a = random_symmetric(rng, dim)
-    u = random_unit(rng, dim)
-    c = 0.5 + rng.uniform(0.0, 1.0)
-    b = rank_one_perturb(a, u, c)
-    delta, residual = birman_solomyak_delta(f, a, b)
+    c, delta, residual = _rank_one_pair(rng, f, dim)
     spec = singular_spectrum(delta)
+    del delta
     weak = weak_s1_quasinorm(spec)
     denom = f.lip * abs(c)
 
-    t = (0.5 + rng.uniform(0.0, 1.0)) * np.outer(random_unit(rng, dim), random_unit(rng, dim))
-    d1 = eigh_symmetric(random_symmetric(rng, dim))
-    d2 = eigh_symmetric(random_symmetric(rng, dim))
-    doi_weak = weak_s1_quasinorm(singular_spectrum(doi_apply(f, d1, d2, t)))
+    t_norm, product = _rank_one_doi(rng, f, dim)
+    doi_weak = weak_s1_quasinorm(singular_spectrum(product))
     row = {
         "lip": f.lip, "perturbation": c, "weak_s1": weak, "rho": _ratio(weak, denom),
         "doi_weak_s1": doi_weak,
-        "rho_doi": _ratio(doi_weak, f.lip * frobenius(t)),  # ||T|| = ||T||_F at rank one
+        "rho_doi": _ratio(doi_weak, f.lip * t_norm),  # ||T|| = ||T||_F at rank one
         "bs_residual": residual, "degenerate": int(denom == 0.0),
     }
     return row, spec
 
 
+def _rank_one_pair(rng, f: LipschitzFunction, dim: int):
+    """(c, f(A) - f(B), Birman-Solomyak residual) for a GOE A and B = A + c u u^T."""
+    a = random_symmetric(rng, dim)
+    u = random_unit(rng, dim)
+    c = 0.5 + rng.uniform(0.0, 1.0)
+    return (c, *birman_solomyak_delta(f, a, rank_one_perturb(a, u, c)))
+
+
+def _rank_one_doi(rng, f: LipschitzFunction, dim: int):
+    """(||T||_F, L o X) for T = s x y^T and two GOE spectral measures.
+
+    X = U^T T V = s (U^T x)(V^T y)^T is formed in O(d^2), without T.
+    """
+    s = 0.5 + rng.uniform(0.0, 1.0)
+    x, y = random_unit(rng, dim), random_unit(rng, dim)
+    d1 = eigh_symmetric(random_symmetric(rng, dim))
+    d2 = eigh_symmetric(random_symmetric(rng, dim))
+    t_norm = float(s * np.linalg.norm(x) * np.linalg.norm(y))
+    return t_norm, eigenbasis_product(f, d1, d2, np.outer(s * (d1.frame.T @ x), d2.frame.T @ y),
+                                      t_norm)
+
+
 def _prescribed_doi(rng, f: LipschitzFunction, dim: int):
-    """Common machinery for the T-based sweeps: (spectrum of doi(f, T), sigma of T)."""
+    """Common machinery for the T-based sweeps: (spectrum of doi(f, T), sigma of T).
+
+    The spectrum is that of L o X, the integral in the eigenbases; the frames
+    and T are released before its SVD.
+    """
     d1 = eigh_symmetric(random_symmetric(rng, dim))
     d2 = eigh_symmetric(random_symmetric(rng, dim))
     t, sigma = random_prescribed_spectrum(rng, dim)
-    return singular_spectrum(doi_apply(f, d1, d2, t)), sigma
+    product = eigenbasis_product(f, d1, d2, d1.frame.T @ t @ d2.frame, frobenius(t))
+    del d1, d2, t
+    return singular_spectrum(product), sigma
 
 
 def _trace_class(rng, f: LipschitzFunction, dim: int, cfg: SweepConfig):

@@ -226,6 +226,23 @@ def test_certify_zero_kernel_ignores_the_function(tmp_path):
     assert records == [json.loads(json_text(asdict(build_certificate(kop, n)))) for n in (2, 4)]
 
 
+def test_certify_zero_kernel_wider_than_the_float_range(tmp_path, capsys):
+    # phi = 0 at MU's atoms +-1e308: the single interval [-1e308, 1e308] has a
+    # length beyond the float range, which neither the partition check nor the
+    # flat bounds may evaluate (a RuntimeWarning is an error under pytest).
+    kop = kernel_operator([-1e308, 1e308], [0.5, 0.5], [0.0, 0.0], [0.0, 1.0], [0.5, 0.5],
+                          [1.0, 1.0], absolute_value())
+    write_kernel_operator(tmp_path / "kop.txt", kop)
+    assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "n=2: s_0 <= 0.0 (observed 0.0) OK\n"
+    (record,) = json.loads(captured.out)["certificates"]
+    assert record["partition"]["edges"] == [-1e308, 1e308]
+    assert record["defect_rank"] == 0 and record["verification"]["passed"]
+    assert record["analytic_bound"] == record["empirical_bound"] == 0.0
+    assert set(record["components"].values()) == {0.0}
+
+
 def test_bad_n_rejected_before_materializing(materialize_calls):
     kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
     with pytest.raises(ValidationError):

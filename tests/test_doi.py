@@ -4,8 +4,9 @@ import pickle
 import numpy as np
 import pytest
 
-from liplab.doi import (bs_residual_bound, check_birman_solomyak, doi_apply, f_delta,
-                        rank_one_perturb)
+from liplab import doi, sweeps
+from liplab.doi import (birman_solomyak_delta, bs_residual_bound, check_birman_solomyak,
+                        doi_apply, eigenbasis_product, f_delta, rank_one_perturb)
 from liplab.errors import CertificateUnsoundError, SoundnessError, ValidationError
 from liplab.functions import (absolute_value, constant_function, default_suite,
                               identity_function, piecewise_linear)
@@ -73,6 +74,44 @@ def test_doi_schur_s2_bound():
             lhs = schatten_norm(singular_spectrum(q), 2)
             rhs = f.lip * schatten_norm(singular_spectrum(t), 2)
             assert lhs <= rhs * (1 + 1e-9)
+
+
+def test_eigenbasis_product_has_the_singular_values_of_doi_apply():
+    # s(U (L o X) V^T) = s(L o X): the sweeps read the spectrum of the product.
+    rng = make_rng(24)
+    for f in default_suite():
+        for dim in (2, 9, 40):
+            d1 = eigh_symmetric(random_symmetric(rng, dim))
+            d2 = eigh_symmetric(random_symmetric(rng, dim))
+            t = rng.standard_normal((dim, dim))
+            expected = singular_spectrum(doi_apply(f, d1, d2, t))
+            x = d1.frame.T @ t @ d2.frame
+            got = singular_spectrum(eigenbasis_product(f, d1, d2, x, frobenius(t)))
+            assert np.max(np.abs(got - expected)) <= 1e-12 * expected[0]
+
+
+def test_eigenbasis_product_rejects_a_mismatched_x():
+    dec = eigh_symmetric(np.diag([0.0, 1.0, 2.0]))
+    with pytest.raises(ValidationError):
+        eigenbasis_product(absolute_value(), dec, dec, np.zeros((3, 2)), 1.0)
+
+
+def test_s2_guard_catches_a_loewner_matrix_beyond_lip(monkeypatch):
+    monkeypatch.setattr(doi, "loewner_matrix",
+                        lambda f, xs, ys: np.full((len(xs), len(ys)), 2.0 * f.lip))
+    rng = make_rng(25)
+    f = absolute_value()
+    a = random_symmetric(rng, 6)
+    b = rank_one_perturb(a, random_unit(rng, 6), 0.7)
+    with pytest.raises(SoundnessError, match="S2"):
+        doi_apply(f, eigh_symmetric(a), eigh_symmetric(b), rng.standard_normal((6, 6)))
+    with pytest.raises(SoundnessError, match="S2"):
+        birman_solomyak_delta(f, a, b)
+    for experiment in ("rank_one", "trace_class"):
+        cfg = sweeps.load_config({"experiment": experiment, "dimensions": [6], "ensemble": 1,
+                                  "seed": 3, "function": {"kind": "abs"}})
+        with pytest.raises(SoundnessError, match="S2"):
+            sweeps._instance(cfg, 6, 0)
 
 
 def test_doi_well_defined_under_eigenbasis_rotation():

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from liplab.doi import birman_solomyak_delta, doi_apply, f_delta
 from liplab.errors import ConvergenceError, ValidationError
+from liplab.functions import absolute_value
 from liplab.ideals import singular_spectrum
 from liplab.linalg import (EIG_RESIDUAL_TOL, ORTHONORMALITY_TOL, SVD_RESIDUAL_TOL,
                            SpectralDecomposition, as_symmetric, eigh_symmetric, frobenius,
@@ -187,6 +189,32 @@ def test_orthonormal_columns_dimension_mismatch():
 def test_as_symmetric_averages():
     m = as_symmetric([[1.0, 2.0], [0.0, 3.0]])
     np.testing.assert_allclose(m, [[1.0, 1.0], [1.0, 3.0]])
+
+
+def test_as_symmetric_returns_an_exactly_symmetric_in_range_matrix_itself():
+    half = 0.5 * np.finfo(float).max
+    for m in (random_symmetric(make_rng(43), 5), np.array([[half, -half], [-half, 0.0]])):
+        assert as_symmetric(m) is m
+    m = np.array([[1.0, 2.0], [0.0, 3.0]])
+    assert as_symmetric(m) is not m
+    np.testing.assert_array_equal(m, [[1.0, 2.0], [0.0, 3.0]])
+    # Beyond half the float range 0.5 * (M + M^T) overflows, so M is still rejected.
+    with pytest.raises(ValidationError, match="float range"):
+        as_symmetric(np.array([[np.finfo(float).max, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("call", [eigh_symmetric, f_delta, birman_solomyak_delta, doi_apply])
+def test_array_arguments_are_left_unchanged(call):
+    rng = make_rng(44)
+    f = absolute_value()
+    a, b, t = random_symmetric(rng, 7), random_symmetric(rng, 7), rng.standard_normal((7, 7))
+    d1, d2 = eigh_symmetric(a), eigh_symmetric(b)
+    args = {eigh_symmetric: (a,), doi_apply: (f, d1, d2, t)}.get(call, (f, a, b))
+    arrays = [a, b, t, d1.eigenvalues, d1.frame, d2.eigenvalues, d2.frame]
+    before = [x.copy() for x in arrays]
+    call(*args)
+    for x, y in zip(arrays, before):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_spectral_decomposition_rejects_bad_frame():

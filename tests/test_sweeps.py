@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,25 @@ def test_report_matches_golden(experiment, tmp_path):
     assert [list(row) for row in report["rows"]] == [list(row) for row in golden["rows"]]
     assert [c["label"] for c in report["curves"]] == [c["label"] for c in golden["curves"]]
     assert_matches_golden(report, golden)
+
+
+@pytest.mark.parametrize("experiment, limit", [
+    ("rank_one", 8.5), ("trace_class", 7.5), ("matsaev", 7.5), ("interp", 7.5)])
+def test_instance_working_set(experiment, limit):
+    # The traced peak of one instance, in d x d float64 arrays: about 7.3 for
+    # rank_one, and 7.15 for the others, whose peak is the QR in
+    # random_prescribed_spectrum.  Copies of A and B, full-size temporaries in
+    # the checks and A - B held through the integral made 11.15 for rank_one;
+    # the limits keep them from coming back.  LAPACK's own buffers are not traced.
+    cfg, dim = golden_config(experiment), 256
+    sweeps._instance(cfg, 8, 0)  # first-call allocations are not the instance's
+    tracemalloc.start()
+    try:
+        sweeps._instance(cfg, dim, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * dim * dim) <= limit
 
 
 def report_bytes(report, directory: Path) -> dict:
