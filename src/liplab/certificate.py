@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CertificateUnsoundError, PartitionInfeasibleError, ValidationError
+from .errors import (CertificateUnsoundError, PartitionInfeasibleError, ValidationError,
+                     checked_integers)
 from .ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
 from .measures import DiscreteMeasure, WeightedKernelOperator, materialize, row_blocks
 
@@ -386,7 +387,7 @@ def build_certificate(kop: WeightedKernelOperator, n: int) -> WeakDecayCertifica
     the operator-norm bound (s_n(E) <= ||E||_HS / sqrt(n + 1)).  Raises
     ValidationError if the pipeline's intermediates would overflow.
     """
-    _checked_n_values([n])
+    checked_integers([n], 1, "n")
     return _prepare(kop)[1](n)
 
 
@@ -407,7 +408,7 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
     certificates' temporaries, which coexist.  The spectrum is the same call on
     the same input as a serial singular_spectrum(M), so its bits do not change.
     """
-    n_values = _checked_n_values(n_values)
+    n_values = checked_integers(n_values, 1, "n values")  # before any O(d^3) work
     m, build = _prepare(kop)
     # Imported here, like the sweep pool: importing liplab does not need it.
     from concurrent.futures import ThreadPoolExecutor
@@ -418,14 +419,6 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
     spectrum = svd.result()
     return spectrum, [(cert, verify_certificate(kop, cert, spectrum=spectrum))
                       for cert in certificates]
-
-
-def _checked_n_values(n_values) -> list:
-    """n_values as a list, checked before any O(d^3) work is spent on them."""
-    n_values = list(n_values)
-    if not n_values or min(n_values) < 1:
-        raise ValidationError(f"n values must be a nonempty list of integers >= 1: {n_values!r}")
-    return n_values
 
 
 def _prepare(kop: WeightedKernelOperator):

@@ -47,7 +47,8 @@ def eigenbasis_product(f: LipschitzFunction, d1: SpectralDecomposition,
     x itself is returned, so pass an array the caller owns and no longer
     needs.  t_norm is ||T||_F.  Every Loewner entry is at most lip in size, so
     ||L o X||_F, which equals ||doi(f, T)||_F, must be at most lip * t_norm up
-    to S2_SLACK, or SoundnessError is raised.
+    to S2_SLACK, or SoundnessError is raised.  A function non-finite at the
+    spectra is bad input: loewner_matrix raises ValidationError.
     """
     _require_shape("X", x, d1, d2)
     allowed = f.lip * t_norm * (1.0 + S2_SLACK)

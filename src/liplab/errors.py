@@ -33,6 +33,15 @@ def checked(value, kind, where: str):
     raise ValidationError(f"{where} has the wrong type or value: {reprlib.repr(value)}")
 
 
+def checked_integers(values, least: int, where: str) -> tuple:
+    """values as a nonempty tuple of 64-bit integers >= least, or a ValidationError naming where."""
+    ints = tuple(checked(values, [int], where))
+    if not ints or min(ints) < least:
+        raise ValidationError(f"{where} must be a nonempty list of integers >= {least}, "
+                              f"got {reprlib.repr(values)}")
+    return ints
+
+
 def read_text(path, what: str) -> str:
     """The contents of the UTF-8 text file at path, or a ValidationError naming what."""
     try:

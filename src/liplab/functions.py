@@ -95,12 +95,15 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
     nodes = np.asarray(breakpoints, dtype=float)
     if nodes.ndim != 1 or nodes.size < 1:
         raise ValidationError("piecewise_linear needs at least one breakpoint")
-    if np.any(np.diff(nodes) <= 0):
+    if not np.all(nodes[1:] > nodes[:-1]):  # no subtraction: it overflows at +-1e308
         raise ValidationError("breakpoints must be strictly increasing")
     rng = np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
     slopes = rng.integers(0, 2, size=nodes.size + 1) * 2.0 - 1.0
     # Node values by accumulating interior slopes from the first node.
-    values = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(nodes))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(nodes))])
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("pwl node values exceed the float range")
 
     def _eval(x, _n=nodes, _v=values, _s=slopes):
         x = np.asarray(x, dtype=float)
@@ -155,11 +158,23 @@ def default_suite() -> list[LipschitzFunction]:
 
 
 def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
-    """Matrix of divided differences of f sampled at xs (rows) and ys (columns)."""
+    """Matrix of divided differences of f sampled at xs (rows) and ys (columns).
+
+    Raises ValidationError where an entry could be NaN: f non-finite at an
+    atom, or x - y or f(x) - f(y) overflowing to inf / inf.
+    """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     fx = np.asarray(f(xs), dtype=float)
     fy = np.asarray(f(ys), dtype=float)
+    points, values = np.r_[xs, ys], np.r_[fx, fy]
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise ValidationError(f"{f.name} is non-finite at an atom {float(points[bad][0])!r}")
+    with np.errstate(over="ignore"):
+        spreads = [np.ptp(points), np.ptp(values)] if points.size else []
+    if not np.all(np.isfinite(spreads)):
+        raise ValidationError(f"atoms or their {f.name} values spread beyond the float range")
     dx = xs[:, None] - ys[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = fx[:, None] - fy[None, :]

@@ -1,9 +1,11 @@
 """Dense real matrix kernels: symmetric eigendecomposition, SVD, matrix files.
 
 Everything here is a pure function of float64 arrays.  Results are
-deterministic for identical inputs (same LAPACK build), eigenvector signs are
-canonicalized, and every decomposition is checked against an explicit residual
-contract before it is returned.
+deterministic for identical inputs (same LAPACK build), and every
+decomposition is checked against an explicit residual contract before it is
+returned.  Frames are LAPACK's, column signs included: every output is built
+from the projections u u^T, which no column sign changes, so none depends on
+them.
 """
 
 from __future__ import annotations
@@ -68,13 +70,6 @@ def frobenius(a) -> float:
     return norm
 
 
-def _column_signs(frame: np.ndarray) -> np.ndarray:
-    """Per column, the sign of its largest-magnitude entry (1 for a zero column)."""
-    signs = np.sign(frame[np.argmax(np.abs(frame), axis=0), np.arange(frame.shape[1])])
-    signs[signs == 0] = 1.0
-    return signs
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues (ascending) plus an orthonormal eigenvector frame.
@@ -125,7 +120,6 @@ def eigh_symmetric(a) -> SpectralDecomposition:
         vals, frame = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # LAPACK gives up on extreme dynamic ranges
         raise ConvergenceError(f"eigendecomposition failed at dim {m.shape[0]}: {exc}") from exc
-    frame *= _column_signs(frame)
     dec = SpectralDecomposition(vals, frame)
     scale = 1.0 + frobenius(m)
     floor = 16 * m.shape[0] * np.finfo(float).eps
@@ -150,18 +144,13 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"svd failed at shape {mat.shape}: {exc}") from exc
-    # Sign canonicalization must flip U columns and V columns together so the
-    # product U diag(s) V^T is unchanged.
-    colsign = _column_signs(u)
-    u = u * colsign
-    v = vh.T * colsign
     scale = 1.0 + frobenius(mat)
-    residual = frobenius(mat - (u * s) @ v.T)
+    residual = frobenius(mat - (u * s) @ vh)
     if not residual <= SVD_RESIDUAL_TOL * scale:
         raise ConvergenceError(f"svd residual {residual:.3e} exceeds contract")
     if not (np.all(s[1:] <= s[:-1]) and np.all(s >= 0)):
         raise ConvergenceError("singular values are not nonincreasing and nonnegative")
-    return s, u, v
+    return s, u, vh.T
 
 
 def matrix_text(m) -> str:

@@ -134,17 +134,8 @@ def materialize(kop: WeightedKernelOperator) -> np.ndarray:
     """Matrix of the operator between the orthonormal atom bases.
 
     Built in row blocks, so the only full-size array is the result.  Raises
-    ValidationError where an entry could be NaN: f non-finite at an atom, or
-    x - y or f(x) - f(y) overflowing to inf / inf.
+    loewner_matrix's ValidationError where an entry could be NaN.
     """
-    positions = np.r_[kop.mu.positions, kop.nu.positions]
-    values = kop.f(positions)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{kop.f.name} is non-finite at an atom of the operator")
-    with np.errstate(over="ignore"):
-        spreads = [np.ptp(v) for v in (positions, values) if v.size]
-    if not np.all(np.isfinite(spreads)):
-        raise ValidationError(f"atoms or their {kop.f.name} values spread beyond the float range")
     left = np.sqrt(kop.mu.masses) * kop.phi
     right = kop.psi * np.sqrt(kop.nu.masses)
     out = np.empty((kop.mu.size, kop.nu.size))

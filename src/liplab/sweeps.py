@@ -28,7 +28,7 @@ import numpy as np
 
 from .certificate import certify
 from .doi import birman_solomyak_delta, eigenbasis_product, rank_one_perturb
-from .errors import ValidationError, checked, json_text, read_json, write_text
+from .errors import ValidationError, checked, checked_integers, json_text, read_json, write_text
 from .functions import LipschitzFunction, function_from_spec
 from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
                      s_omega_norm, weak_s1_quasinorm)
@@ -63,11 +63,11 @@ class SweepConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValidationError(f"unknown experiment {self.experiment!r}; known: {EXPERIMENTS}")
-        object.__setattr__(self, "dimensions", _integers("dimensions", self.dimensions, 2))
+        object.__setattr__(self, "dimensions", checked_integers(self.dimensions, 2, "dimensions"))
         if max(self.dimensions) > MAX_SIZE:
             raise ValidationError(f"dimensions must be at most {MAX_SIZE}, "
                                   f"got {max(self.dimensions)}")
-        object.__setattr__(self, "n_values", _integers("n_values", self.n_values, 1))
+        object.__setattr__(self, "n_values", checked_integers(self.n_values, 1, "n_values"))
         object.__setattr__(self, "ensemble", checked(self.ensemble, int, "ensemble"))
         if not 1 <= self.ensemble <= MAX_ENSEMBLE:
             raise ValidationError(f"ensemble size must be in [1, {MAX_ENSEMBLE}], "
@@ -84,15 +84,6 @@ class SweepConfig:
         if self.out is not None:
             checked(self.out, str, "out")
         checked(self.emit_curves, bool, "emit_curves")
-
-
-def _integers(name: str, values, least: int) -> tuple:
-    """values as a nonempty tuple of integers >= least, or a ValidationError."""
-    ints = tuple(checked(values, [int], name))
-    if not ints or min(ints) < least:
-        raise ValidationError(f"{name} must be a nonempty list of integers >= {least}, "
-                              f"got {values!r}")
-    return ints
 
 
 def load_config(source) -> SweepConfig:

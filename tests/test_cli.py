@@ -161,7 +161,7 @@ def test_certify_failures_on_either_side_of_the_join(monkeypatch, capsys, failur
     assert err.splitlines()[-1].startswith(prefix)
 
 
-def test_certify_bad_n(tmp_path):
+def test_certify_bad_n(tmp_path, materialize_calls):
     rng = make_rng(6, 0)
     kop = random_kernel_operator(rng, absolute_value(), 10, 10)
     op_path = tmp_path / "kop.txt"
@@ -170,6 +170,10 @@ def test_certify_bad_n(tmp_path):
     assert main(["certify", "--input", str(op_path), "--n", ""]) == 2
     assert main(["certify", "--input", str(op_path), "--n", "a"]) == 2
     assert main(["certify", "--input", str(op_path), "--n", "4,2.5"]) == 2
+    # Beyond 64 bits, as in a sweep config; past 2**1024, 1.0 / n would overflow.
+    for n in ("1" + "0" * 400, str(2 ** 1030), str(2 ** 63), f"2,{2 ** 63}"):
+        assert main(["certify", "--input", str(op_path), "--n", n]) == 2
+    assert materialize_calls == []
 
 
 @pytest.fixture
@@ -338,21 +342,42 @@ def test_bad_function_parameters_exit_2(matrices, spec):
 def test_function_non_finite_at_data_exits_2(matrices, monkeypatch):
     # Two cores, so a two-instance sweep raises in a worker process.
     monkeypatch.setattr(sweeps, "_cores", lambda: 2)
-    # sqrt(x^2 + delta^2) overflows to inf for every x.
+    # sqrt(x^2 + delta^2) overflows to inf for every x.  On the DOI path the
+    # Loewner matrix would hold inf - inf: bad input, not a NaN S2 violation.
     spec = '{"kind": "smooth_ramp", "delta": 1e200}'
     assert main(["fdelta", "--function", spec,
                  str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
+    assert main(["doi", "--function", spec, str(matrices / "A.txt"),
+                 str(matrices / "B.txt"), str(matrices / "T.txt")]) == 2
     op_path = matrices / "kop.txt"
     write_kernel_operator(op_path, random_kernel_operator(
         make_rng(8, 0), function_from_spec(json.loads(spec)), 10, 10))
     assert main(["certify", "--input", str(op_path), "--n", "2"]) == 2
-    for experiment in ("rank_one", "certificate"):
+    for experiment in sweeps.EXPERIMENTS:
         for ensemble in (1, 2):
             cfg_path = matrices / "cfg.json"
             cfg_path.write_text(json.dumps({"experiment": experiment, "dimensions": [4],
                                             "ensemble": ensemble, "seed": 0,
-                                            "function": json.loads(spec), "n_values": [2]}))
+                                            "function": json.loads(spec), "n_values": [2],
+                                            "p": 1.0, "epsilon": 0.5}))
             assert main(["sweep", "--config", str(cfg_path)]) == 2
+
+
+def test_pwl_node_values_beyond_float_range_exit_2(matrices, capsys):
+    # The gap between the breakpoints overflows: every command rejects the
+    # spec when it reads it, without a RuntimeWarning (an error under pytest).
+    spec = json.dumps({"kind": "pwl", "breakpoints": [-1e308, 1e308], "seed": 1})
+    for command, names in (("fdelta", "AB"), ("doi", "ABT"), ("bscheck", "AB")):
+        assert main([command, "--function", spec,
+                     *(str(matrices / f"{name}.txt") for name in names)]) == 2
+    op_path = matrices / "kop.txt"
+    op_path.write_text(f"MU\n0.5 1.0 1.0\nNU\n-1.0 1.0 1.0\nFUNCTION\n{spec}\n")
+    assert main(["certify", "--input", str(op_path), "--n", "2"]) == 2
+    cfg_path = matrices / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "rank_one", "dimensions": [4], "ensemble": 1,
+                                    "seed": 1, "function": json.loads(spec)}))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.count("pwl node values exceed the float range") == 5
 
 
 _NUMBERS = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)

@@ -8,7 +8,7 @@ from liplab import doi, sweeps
 from liplab.doi import (birman_solomyak_delta, bs_residual_bound, check_birman_solomyak,
                         doi_apply, eigenbasis_product, f_delta, rank_one_perturb)
 from liplab.errors import CertificateUnsoundError, SoundnessError, ValidationError
-from liplab.functions import (absolute_value, constant_function, default_suite,
+from liplab.functions import (absolute_value, apply_function, constant_function, default_suite,
                               identity_function, piecewise_linear)
 from liplab.ideals import schatten_norm, singular_spectrum
 from liplab.linalg import SpectralDecomposition, eigh_symmetric, frobenius
@@ -135,6 +135,31 @@ def test_doi_well_defined_under_eigenbasis_rotation():
     q3 = doi_apply(f, other, d1, t)
     q4 = doi_apply(f, other, d2, t)
     assert frobenius(q3 - q4) <= 1e-10 * frobenius(t)
+
+
+@pytest.mark.parametrize("dim", [7, 64])
+def test_outputs_do_not_depend_on_frame_column_signs(dim):
+    # Every output is built from the projections u u^T, and IEEE products and
+    # sums are sign-symmetric, so flipping frame columns leaves their bits
+    # alone; only an SVD of L o X, whose rows and columns flip, may round
+    # differently.
+    rng = make_rng(26, dim)
+    a, b = random_symmetric(rng, dim), random_symmetric(rng, dim)
+    t = rng.standard_normal((dim, dim))
+    decs = [eigh_symmetric(a), eigh_symmetric(b)]
+    flipped = []
+    for dec in decs:
+        signs = rng.choice([-1.0, 1.0], size=dim)
+        signs[rng.integers(dim)] = -1.0
+        flipped.append(SpectralDecomposition(dec.eigenvalues, dec.frame * signs))
+    for f in default_suite():
+        assert np.array_equal(apply_function(f, flipped[0]), apply_function(f, decs[0]))
+        assert np.array_equal(doi_apply(f, *flipped, t), doi_apply(f, *decs, t))
+        assert (birman_solomyak_delta(f, a, b, dec_a=flipped[0], dec_b=flipped[1])[1]
+                == birman_solomyak_delta(f, a, b, dec_a=decs[0], dec_b=decs[1])[1])
+        got, expected = (singular_spectrum(eigenbasis_product(
+            f, d1, d2, d1.frame.T @ t @ d2.frame, frobenius(t))) for d1, d2 in (flipped, decs))
+        assert np.max(np.abs(got - expected)) <= 1e-15 * expected[0]
 
 
 def test_f_delta_equal_operators():

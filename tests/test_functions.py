@@ -150,6 +150,9 @@ def test_pwl_validation():
         piecewise_linear([], 1)
     with pytest.raises(ValidationError):
         piecewise_linear([0.0, 0.0], 1)
+    # The gap between the breakpoints, and so the second node value, overflows.
+    with pytest.raises(ValidationError, match="float range"):
+        piecewise_linear([-1e308, 1e308], 1)
 
 
 def test_function_from_spec_roundtrip():
