@@ -9,10 +9,12 @@ where U, V are the eigenvector frames, L the Loewner matrix of f at the two
 spectra, and o the entrywise product.  With T = A - B this reproduces
 f(A) - f(B) exactly (Birman and Solomyak).
 
-eigenbasis_product computes L o X, and every path here goes through it:
-doi_apply conjugates it back, birman_solomyak_delta compares its conjugate
-with f(A) - f(B), and a caller that reads only singular values takes them
-from L o X itself, since s(U (L o X) V^T) = s(L o X).
+eigenbasis_product computes L o X from the two spectra and X alone, and
+every path here goes through it: doi_apply conjugates it back,
+birman_solomyak_delta compares its conjugate with f(A) - f(B), and a caller
+that reads only singular values takes them from L o X itself, since
+s(U (L o X) V^T) = s(L o X).  Such a caller needs a frame only until it has
+been multiplied into X.
 
 Both contracts the sweeps rest on are checked here, where their values are
 computed: eigenbasis_product the S2 bound ||L o X||_F <= lip ||T||_F, and
@@ -39,23 +41,26 @@ BS_RESIDUAL_TOL = 1e-8
 S2_SLACK = 1e-9
 
 
-def eigenbasis_product(f: LipschitzFunction, d1: SpectralDecomposition,
-                       d2: SpectralDecomposition, x: np.ndarray, t_norm: float) -> np.ndarray:
+def eigenbasis_product(f: LipschitzFunction, lam: np.ndarray, mu: np.ndarray, x: np.ndarray,
+                       t_norm: float) -> np.ndarray:
     """L o X, the double operator integral of T in the eigenbases: X = U^T T V.
 
-    The Loewner matrix L multiplies x in place, one row block at a time, and
-    x itself is returned, so pass an array the caller owns and no longer
-    needs.  t_norm is ||T||_F.  Every Loewner entry is at most lip in size, so
-    ||L o X||_F, which equals ||doi(f, T)||_F, must be at most lip * t_norm up
-    to S2_SLACK, or SoundnessError is raised.  A function non-finite at the
-    spectra is bad input: loewner_matrix raises ValidationError.
+    lam and mu are the eigenvalues of the two operators, in the order of the
+    columns of U and V; the frames themselves are not needed.  The Loewner
+    matrix L of f at lam (rows) and mu (columns) multiplies x in place, one
+    row block at a time, and x itself is returned, so pass an array the caller
+    owns and no longer needs.  t_norm is ||T||_F.  Every Loewner entry is at
+    most lip in size, so ||L o X||_F, which equals ||doi(f, T)||_F, must be at
+    most lip * t_norm up to S2_SLACK, or SoundnessError is raised.  A function
+    non-finite at the spectra is bad input: loewner_matrix raises
+    ValidationError.
     """
-    _require_shape("X", x, d1, d2)
+    _require_shape("X", x, np.shape(lam) + np.shape(mu))
     allowed = f.lip * t_norm * (1.0 + S2_SLACK)
     if not math.isfinite(allowed):
         raise ValidationError("lip * ||T||_F exceeds the float range")
     for rows in row_blocks(*x.shape):
-        x[rows] *= loewner_matrix(f, d1.eigenvalues[rows], d2.eigenvalues)
+        x[rows] *= loewner_matrix(f, lam[rows], mu)
     SoundnessError.require("S2 Schur-multiplier bound violated", frobenius(x), allowed)
     return x
 
@@ -67,18 +72,15 @@ def doi_apply(f: LipschitzFunction, d1: SpectralDecomposition, d2: SpectralDecom
     The result U (L o X) V^T satisfies the S2 bound of eigenbasis_product.
     """
     mat = as_matrix(t)
-    _require_shape("T", mat, d1, d2)
+    _require_shape("T", mat, (d1.dim, d2.dim))
     t_norm = frobenius(mat)  # before the products: it rejects a T whose norm overflows
-    return d1.frame @ eigenbasis_product(f, d1, d2, d1.frame.T @ mat @ d2.frame,
-                                         t_norm) @ d2.frame.T
+    return d1.frame @ eigenbasis_product(f, d1.eigenvalues, d2.eigenvalues,
+                                         d1.frame.T @ mat @ d2.frame, t_norm) @ d2.frame.T
 
 
-def _require_shape(name: str, m: np.ndarray, d1: SpectralDecomposition,
-                   d2: SpectralDecomposition) -> None:
-    if m.shape != (d1.dim, d2.dim):
-        raise ValidationError(
-            f"{name} has shape {m.shape}, expected ({d1.dim}, {d2.dim}) from the decompositions"
-        )
+def _require_shape(name: str, m: np.ndarray, shape: tuple) -> None:
+    if m.shape != shape:
+        raise ValidationError(f"{name} has shape {m.shape}, expected {shape} from the spectra")
 
 
 def _operator_pair(f: LipschitzFunction, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -135,8 +137,8 @@ def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
     db = dec_b if dec_b is not None else eigh_symmetric(mb)
     delta = apply_function(f, da)
     delta -= apply_function(f, db)
-    gap = da.frame @ eigenbasis_product(f, da, db, da.frame.T @ (ma - mb) @ db.frame,
-                                        t_norm) @ db.frame.T
+    gap = da.frame @ eigenbasis_product(f, da.eigenvalues, db.eigenvalues,
+                                        da.frame.T @ (ma - mb) @ db.frame, t_norm) @ db.frame.T
     gap -= delta
     residual = frobenius(gap)
     if f.lip > 0.0:

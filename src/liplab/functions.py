@@ -188,8 +188,8 @@ def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarr
     vals = np.asarray(f(dec.eigenvalues), dtype=float)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        where = dec.eigenvalues[bad][0]
-        raise ValidationError(f"{f.name} is non-finite at eigenvalue {where!r}")
+        raise ValidationError(
+            f"{f.name} is non-finite at eigenvalue {float(dec.eigenvalues[bad][0])!r}")
     m = (dec.frame * vals) @ dec.frame.T
     m = m + m.T
     m *= 0.5

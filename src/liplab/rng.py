@@ -55,16 +55,17 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * signs
 
 
-def random_prescribed_spectrum(rng: np.random.Generator, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(T, sigma): random rotations of a random nonnegative spectrum with sum sigma = 1."""
+def random_trace_spectrum(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random nonnegative spectrum, descending, with sum 1.
+
+    Uniform draws on [0, 1), sorted and scaled to trace 1; all-zero draws
+    give the flat spectrum 1 / dim.
+    """
     sigma = np.sort(rng.uniform(0.0, 1.0, dim))[::-1]
     total = float(np.sum(sigma))
     if total == 0.0:
-        sigma = np.full(dim, 1.0 / dim)
-        total = 1.0
-    sigma = sigma * (1.0 / total)
-    t = (random_orthogonal(rng, dim) * sigma) @ random_orthogonal(rng, dim).T
-    return t, sigma
+        return np.full(dim, 1.0 / dim)
+    return sigma * (1.0 / total)
 
 
 def random_kernel_operator(rng: np.random.Generator, f: LipschitzFunction,

@@ -32,9 +32,9 @@ from .errors import ValidationError, checked, checked_integers, json_text, read_
 from .functions import LipschitzFunction, function_from_spec
 from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
                      s_omega_norm, weak_s1_quasinorm)
-from .linalg import eigh_symmetric, frobenius
-from .rng import (make_rng, random_kernel_operator, random_prescribed_spectrum,
-                  random_symmetric, random_unit)
+from .linalg import eigh_symmetric
+from .rng import (make_rng, random_kernel_operator, random_orthogonal, random_symmetric,
+                  random_trace_spectrum, random_unit)
 
 FORMATS = ("csv", "json")
 
@@ -151,28 +151,41 @@ def _rank_one_pair(rng, f: LipschitzFunction, dim: int):
 def _rank_one_doi(rng, f: LipschitzFunction, dim: int):
     """(||T||_F, L o X) for T = s x y^T and two GOE spectral measures.
 
-    X = U^T T V = s (U^T x)(V^T y)^T is formed in O(d^2), without T.
+    X = U^T T V = s (U^T x)(V^T y)^T is formed in O(d^2), without T, and each
+    frame is released right after its product.
     """
     s = 0.5 + rng.uniform(0.0, 1.0)
     x, y = random_unit(rng, dim), random_unit(rng, dim)
     d1 = eigh_symmetric(random_symmetric(rng, dim))
+    lam, ux = d1.eigenvalues, s * (d1.frame.T @ x)
+    del d1
     d2 = eigh_symmetric(random_symmetric(rng, dim))
+    mu, vy = d2.eigenvalues, d2.frame.T @ y
+    del d2
     t_norm = float(s * np.linalg.norm(x) * np.linalg.norm(y))
-    return t_norm, eigenbasis_product(f, d1, d2, np.outer(s * (d1.frame.T @ x), d2.frame.T @ y),
-                                      t_norm)
+    return t_norm, eigenbasis_product(f, lam, mu, np.outer(ux, vy), t_norm)
 
 
 def _prescribed_doi(rng, f: LipschitzFunction, dim: int):
     """Common machinery for the T-based sweeps: (spectrum of doi(f, T), sigma of T).
 
-    The spectrum is that of L o X, the integral in the eigenbases; the frames
-    and T are released before its SVD.
+    T = Q1 diag(sigma) Q2^T with Haar Q1, Q2 and a trace-one sigma
+    (random_trace_spectrum) is never formed: X = U^T T V is taken as
+    (U^T Q1 diag(sigma))(V^T Q2)^T, and U with Q1 is released before Q2's QR.
+    The spectrum is that of L o X, the integral in the eigenbases.
     """
     d1 = eigh_symmetric(random_symmetric(rng, dim))
     d2 = eigh_symmetric(random_symmetric(rng, dim))
-    t, sigma = random_prescribed_spectrum(rng, dim)
-    product = eigenbasis_product(f, d1, d2, d1.frame.T @ t @ d2.frame, frobenius(t))
-    del d1, d2, t
+    lam, mu = d1.eigenvalues, d2.eigenvalues
+    sigma = random_trace_spectrum(rng, dim)
+    left = d1.frame.T @ (random_orthogonal(rng, dim) * sigma)
+    del d1
+    right = d2.frame.T @ random_orthogonal(rng, dim)
+    del d2
+    x = left @ right.T
+    del left, right
+    # ||T||_F = ||sigma||_2, the norm T is drawn with.
+    product = eigenbasis_product(f, lam, mu, x, float(np.linalg.norm(sigma)))
     return singular_spectrum(product), sigma
 
 

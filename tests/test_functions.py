@@ -123,6 +123,14 @@ def test_apply_non_finite_value_names_eigenvalue():
         apply_function(bad, dec)
 
 
+def test_apply_non_finite_message_names_a_plain_float():
+    # smooth_ramp(1e200) overflows to inf everywhere; numpy 2's scalar repr
+    # would read "np.float64(0.0)".
+    with np.errstate(over="ignore"), pytest.raises(ValidationError) as exc:
+        apply_function(smooth_ramp(1e200), eigh_symmetric(np.diag([0.0, 1.0])))
+    assert str(exc.value) == "ramp(d=1e+200) is non-finite at eigenvalue 0.0"
+
+
 def test_pwl_construction():
     nodes = np.linspace(-2.0, 2.0, 9)
     f = piecewise_linear(nodes, 42)
