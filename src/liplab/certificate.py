@@ -61,23 +61,21 @@ def normalize(kop: WeightedKernelOperator) -> tuple[WeightedKernelOperator, floa
 
     Returns the normalized operator and the scale factor (the product of the
     removed norms) that converts bounds for the normalized operator back to
-    the original one.  Idempotent up to rounding.
+    the original one.  Idempotent up to rounding.  ValidationError unless both
+    norms, lip and the factor are normal floats (a subnormal norm is too coarse).
     """
-    a = kop.phi_norm
-    b = kop.psi_norm
-    lip = kop.f.lip
-    if a == 0.0 or b == 0.0:
-        raise ValidationError("cannot normalize an operator with zero phi or psi")
-    if lip <= 0.0:
-        raise ValidationError("cannot normalize a function with zero Lipschitz seminorm")
+    a, b, lip, scale = kop.phi_norm, kop.psi_norm, kop.f.lip, kop.norm_product
+    if not (min(a, b, lip, scale) >= np.finfo(float).tiny and scale < math.inf):
+        raise ValidationError(f"||phi|| = {a!r}, ||psi|| = {b!r}, lip = {lip!r} or their "
+                              f"product {scale!r} is outside the normal float range")
     scaled = WeightedKernelOperator(
         kop.mu, kop.nu, kop.phi / a, kop.psi / b, kop.f.rescaled(1.0 / lip)
     )
-    return scaled, kop.norm_product
+    return scaled, scale
 
 
 def heavy_atoms(measure: DiscreteMeasure, weights, n: int) -> np.ndarray:
-    """Indices of atoms with weight^2 * mass >= 1/n.
+    """Indices of atoms with (weight * sqrt(mass))^2 >= 1/n.
 
     With the side normalized (sum of weight^2 * mass <= 1) there are at most
     n such atoms.
@@ -87,7 +85,7 @@ def heavy_atoms(measure: DiscreteMeasure, weights, n: int) -> np.ndarray:
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if w.shape != measure.positions.shape:
         raise ValidationError("weights must have one value per atom")
-    return np.nonzero(w * w * measure.masses >= 1.0 / n)[0]
+    return np.nonzero(np.square(measure.coordinates(w)) >= 1.0 / n)[0]
 
 
 def mask(kop: WeightedKernelOperator, heavy_x, heavy_y) -> WeightedKernelOperator:
@@ -106,7 +104,7 @@ def mask(kop: WeightedKernelOperator, heavy_x, heavy_y) -> WeightedKernelOperato
     psi = kop.psi.copy()
     phi[hx] = 0.0
     psi[hy] = 0.0
-    return kop.with_weights(phi, psi)
+    return WeightedKernelOperator(kop.mu, kop.nu, phi, psi, kop.f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +182,8 @@ def partition(kop: WeightedKernelOperator, n: int, radius: float) -> IntervalPar
     if n < 1:
         raise ValidationError("n must be >= 1")
     cap = 4.0 / n
-    phi_mass = kop.phi ** 2 * kop.mu.masses
-    psi_mass = kop.psi ** 2 * kop.nu.masses
+    phi_mass = np.square(kop.mu.coordinates(kop.phi))
+    psi_mass = np.square(kop.nu.coordinates(kop.psi))
     points, where = np.unique(np.r_[kop.mu.positions, kop.nu.positions], return_inverse=True)
     contributions = np.zeros(points.size)
     np.add.at(contributions, where, np.r_[phi_mass, psi_mass])
@@ -424,6 +422,7 @@ def certify(kop: WeightedKernelOperator, n_values) -> tuple[np.ndarray, list]:
 def _prepare(kop: WeightedKernelOperator):
     """(M, build): M = materialize(kop), zeros for a zero kernel, and build(n).
 
+    A weight norm is 0 only where every coordinate is, and then so is M.
     materialize's checks run first, then the pipeline's overflow checks, so
     certify raises their ValidationError before it starts the SVD.
     """
@@ -452,9 +451,9 @@ def _f_at_atoms(unit: WeightedKernelOperator) -> list:
                               "float range")
     values = []
     for measure, weights in ((unit.mu, unit.phi), (unit.nu, unit.psi)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            fvals = np.asarray(unit.f(measure.positions), dtype=float)
-            squares = np.sum(np.square(weights * np.sqrt(measure.masses) * fvals))
+        fvals = unit.f.at(measure.positions, "an atom")
+        with np.errstate(over="ignore"):
+            squares = np.sum(np.square(measure.coordinates(weights) * fvals))
         if not np.isfinite(squares):
             raise ValidationError("the weighted squares of the normalized function values "
                                   "at the atoms overflow the float range")
@@ -470,8 +469,8 @@ def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float, fx: 
     masked = mask(unit, hx, hy)
     part = partition(masked, n, radius)
     ix, iy = part.interval_of(unit.mu.positions), part.interval_of(unit.nu.positions)
-    col = _defect_basis(masked.psi * np.sqrt(unit.nu.masses), fy, iy)
-    row = _defect_basis(masked.phi * np.sqrt(unit.mu.masses), fx, ix)
+    col = _defect_basis(unit.nu.coordinates(masked.psi), fy, iy)
+    row = _defect_basis(unit.mu.coordinates(masked.phi), fx, ix)
     return _record(n, radius, scale, hx, hy, part, {"column": col.count, "row": row.count},
                    int(hx.size + hy.size + col.rank + row.rank + n),
                    _residual_squares(m, scale, masked, part, ix, iy, col, row))

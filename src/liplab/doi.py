@@ -93,7 +93,8 @@ def _operator_pair(f: LipschitzFunction, a, b) -> tuple[np.ndarray, np.ndarray]:
     mb = as_symmetric(b)
     if ma.shape != mb.shape:
         raise ValidationError(f"A and B must share a dimension, got {ma.shape} and {mb.shape}")
-    bound = 2.0 * (abs(float(f(np.zeros(1))[0])) + f.lip * max(frobenius(ma), frobenius(mb)))
+    f0 = float(f.at(np.zeros(1), "x =")[0])
+    bound = 2.0 * (abs(f0) + f.lip * max(frobenius(ma), frobenius(mb)))
     if not math.isfinite(bound):
         raise ValidationError("f(A) - f(B) may exceed the float range")
     return ma, mb

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the check of JSON input values,
-and every file access: reads and writes map their failures to ValidationError.
+"""Exception types, the check of JSON input values, and every file access (text files as
+nonblank lines and rows of floats): reads and writes map failures to ValidationError.
 """
 
 import json
@@ -49,6 +49,25 @@ def read_text(path, what: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_lines(path, what: str) -> list:
+    """The nonblank lines of the text file at path, stripped, or a ValidationError naming what."""
+    return [line.strip() for line in read_text(path, what).split("\n") if line.strip()]
+
+
+def float_rows(lines, width: int, where: str) -> np.ndarray:
+    """lines of width floats each as a len(lines) x width array; ValidationError names a bad row."""
+    rows = []
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) != width:
+            raise ValidationError(f"{where}: row {i} has {len(parts)} entries, expected {width}")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ValidationError(f"{where}: bad number in row {i}") from exc
+    return np.array(rows).reshape(len(rows), width)
 
 
 def parse_json(text: str, where: str):

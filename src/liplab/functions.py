@@ -30,14 +30,23 @@ class LipschitzFunction:
     def __call__(self, x):
         return self.eval(np.asarray(x, dtype=float))
 
+    def at(self, points, where: str) -> np.ndarray:
+        """f at points; a ValidationError, not a warning, names where and the first non-finite."""
+        x = np.asarray(points, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(self.eval(x), dtype=float)
+        bad = ~np.isfinite(values)
+        if np.any(bad):
+            raise ValidationError(f"{self.name} is non-finite at {where} {float(x[bad][0])!r}")
+        return values
+
     def rescaled(self, factor: float) -> "LipschitzFunction":
-        """factor * f, with the seminorm scaled by |factor|."""
+        """factor * f, with the seminorm scaled by |factor|; it has no spec to write to a file."""
         base = self.eval
         return LipschitzFunction(
             name=f"{factor!r}*{self.name}",
             eval=lambda x, _b=base, _c=float(factor): _c * _b(x),
             lip=abs(float(factor)) * self.lip,
-            spec={"kind": "scaled", "factor": float(factor), "base": self.spec},
         )
 
 
@@ -161,16 +170,13 @@ def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
     """Matrix of divided differences of f sampled at xs (rows) and ys (columns).
 
     Raises ValidationError where an entry could be NaN: f non-finite at an
-    atom, or x - y or f(x) - f(y) overflowing to inf / inf.
+    atom (f.at, xs before ys), or x - y or f(x) - f(y) overflowing to inf / inf.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    fx = np.asarray(f(xs), dtype=float)
-    fy = np.asarray(f(ys), dtype=float)
-    points, values = np.r_[xs, ys], np.r_[fx, fy]
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise ValidationError(f"{f.name} is non-finite at an atom {float(points[bad][0])!r}")
+    points = np.r_[xs, ys]
+    values = f.at(points, "an atom")
+    fx, fy = values[:xs.size], values[xs.size:]
     with np.errstate(over="ignore"):
         spreads = [np.ptp(points), np.ptp(values)] if points.size else []
     if not np.all(np.isfinite(spreads)):
@@ -185,12 +191,7 @@ def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
 
 def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarray:
     """Spectral calculus f(A) = frame diag(f(lambda)) frame^T, symmetrized."""
-    vals = np.asarray(f(dec.eigenvalues), dtype=float)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        raise ValidationError(
-            f"{f.name} is non-finite at eigenvalue {float(dec.eigenvalues[bad][0])!r}")
-    m = (dec.frame * vals) @ dec.frame.T
+    m = (dec.frame * f.at(dec.eigenvalues, "eigenvalue")) @ dec.frame.T
     m = m + m.T
     m *= 0.5
     return m

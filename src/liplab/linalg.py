@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, read_text, write_text
+from .errors import ConvergenceError, ValidationError, float_rows, read_lines, write_text
 
 # Frame orthonormality tolerance, per unit of dimension.
 ORTHONORMALITY_TOL = 1e-12
@@ -55,16 +55,17 @@ def as_symmetric(a) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    """Frobenius norm; rescaled by max |a_ij| when the plain sum of squares overflows.
+    """Frobenius norm (a vector's 2-norm), rescaled by max |a_ij| (Blue, ACM TOMS 4, 1978)
+    when the plain sum of squares overflows or underflows (a norm below 2^-500).
 
-    Raises ValidationError if a finite matrix has a norm beyond the float range.
+    Raises ValidationError if a finite array has a norm beyond the float range.
     """
     m = np.asarray(a, dtype=float)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(m, "fro"))
-        if norm == np.inf and np.all(np.isfinite(m)):
-            top = np.abs(m).max()
-            norm = float(top * np.linalg.norm(m / top, "fro"))
+        norm = float(np.linalg.norm(m))
+        if norm < 2.0 ** -500 or (norm == np.inf and np.all(np.isfinite(m))):
+            top = np.abs(m).max(initial=0.0)
+            norm = float(top * np.linalg.norm(m / top)) if top > 0.0 else 0.0
             if norm == np.inf:
                 raise ValidationError("Frobenius norm exceeds the float range")
     return norm
@@ -169,27 +170,14 @@ def write_matrix(path, m) -> None:
 
 def read_matrix(path) -> np.ndarray:
     """Read a matrix from the text format; accepts scientific notation."""
-    raw = [line.strip() for line in read_text(path, "matrix file").split("\n") if line.strip()]
-    if not raw:
-        raise ValidationError(f"matrix file {path} is empty")
-    head = raw[0].split()
-    if len(head) != 2:
-        raise ValidationError(f"matrix file {path}: first line must be 'rows cols'")
+    raw = read_lines(path, "matrix file")
     try:
-        rows, cols = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ValidationError(f"matrix file {path}: bad header {raw[0]!r}") from exc
+        rows, cols = (int(v) for v in raw[0].split())
+    except (IndexError, ValueError) as exc:  # an empty file, or not two integers
+        raise ValidationError(f"matrix file {path}: first line must be 'rows cols'") from exc
     if rows < 1 or cols < 1:
         raise ValidationError(f"matrix file {path}: rows and cols must be >= 1: {raw[0]!r}")
     if len(raw) - 1 != rows:
         raise ValidationError(f"matrix file {path}: expected {rows} rows, got {len(raw) - 1}")
-    out = []  # built from the rows read, not allocated from the header's claim
-    for i, line in enumerate(raw[1:]):
-        parts = line.split()
-        if len(parts) != cols:
-            raise ValidationError(f"matrix file {path}: row {i} has {len(parts)} entries, expected {cols}")
-        try:
-            out.append(np.array([float(p) for p in parts]))
-        except ValueError as exc:
-            raise ValidationError(f"matrix file {path}: bad number in row {i}") from exc
-    return as_matrix(out)
+    # Built from the rows read, not allocated from the header's claim.
+    return as_matrix(float_rows(raw[1:], cols, f"matrix file {path}"))

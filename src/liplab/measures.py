@@ -9,9 +9,9 @@ atom bases the operator is the matrix
 
     M[i, j] = sqrt(mu_i) phi(x_i) dd_f(x_i, y_j) psi(y_j) sqrt(nu_j).
 
-File format (read/write_kernel_operator): a MU section with "x mass phi"
-lines, a NU section with "y mass psi" lines, and a FUNCTION section holding a
-one-line JSON function spec.
+File format (read/write_kernel_operator), each section exactly once: a MU section
+with "x mass phi" lines, a NU section with "y mass psi" lines, and a FUNCTION
+section holding a one-line JSON function spec.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, parse_json, read_text, write_text
+from .errors import ValidationError, float_rows, parse_json, read_lines, write_text
 from .functions import LipschitzFunction, function_from_spec, loewner_matrix
+from .linalg import frobenius
 
 # Entries per row block of the dense kernel passes: a block and its temporaries
 # stay in L2 cache (2**15 ran the certificate residual 2x faster than 2**17).
@@ -58,12 +59,10 @@ class DiscreteMeasure:
     def support_radius(self) -> float:
         return float(np.max(np.abs(self.positions))) if self.size else 0.0
 
-
-def weighted_l2_norm(values, masses) -> float:
-    """L2(measure) norm of a function given by its values on the atoms."""
-    v = np.asarray(values, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    return float(np.sqrt(np.sum(v * v * m)))
+    def coordinates(self, values) -> np.ndarray:
+        """values * sqrt(mass), the atom-basis coordinates (inf on overflow, without a warning)."""
+        with np.errstate(over="ignore"):
+            return np.sqrt(self.masses) * values
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +87,12 @@ class WeightedKernelOperator:
 
     @property
     def phi_norm(self) -> float:
-        return weighted_l2_norm(self.phi, self.mu.masses)
+        """||phi|| in L2(mu) at any weight scale: frobenius of its coordinates."""
+        return frobenius(self.mu.coordinates(self.phi))
 
     @property
     def psi_norm(self) -> float:
-        return weighted_l2_norm(self.psi, self.nu.masses)
+        return frobenius(self.nu.coordinates(self.psi))
 
     @property
     def norm_product(self) -> float:
@@ -102,9 +102,6 @@ class WeightedKernelOperator:
     @property
     def support_radius(self) -> float:
         return max(self.mu.support_radius, self.nu.support_radius)
-
-    def with_weights(self, phi, psi) -> "WeightedKernelOperator":
-        return WeightedKernelOperator(self.mu, self.nu, phi, psi, self.f)
 
 
 def kernel_operator(x_positions, x_masses, phi, y_positions, y_masses, psi,
@@ -134,62 +131,54 @@ def materialize(kop: WeightedKernelOperator) -> np.ndarray:
     """Matrix of the operator between the orthonormal atom bases.
 
     Built in row blocks, so the only full-size array is the result.  Raises
-    loewner_matrix's ValidationError where an entry could be NaN.
+    loewner_matrix's ValidationError where an entry could be NaN, and one naming
+    the row block where an entry is beyond the float range (checked, not warned).
     """
-    left = np.sqrt(kop.mu.masses) * kop.phi
-    right = kop.psi * np.sqrt(kop.nu.masses)
+    left = kop.mu.coordinates(kop.phi)
+    right = kop.nu.coordinates(kop.psi)
     out = np.empty((kop.mu.size, kop.nu.size))
     for rows in row_blocks(*out.shape):
         dd = loewner_matrix(kop.f, kop.mu.positions[rows], kop.nu.positions)
-        out[rows] = left[rows, None] * dd * right[None, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[rows] = left[rows, None] * dd * right[None, :]
+        if not np.all(np.isfinite(out[rows])):
+            raise ValidationError(f"an operator entry in rows {rows.start}-{rows.stop - 1} "
+                                  "exceeds the float range")
     return out
 
 
 def write_kernel_operator(path, kop: WeightedKernelOperator) -> None:
-    lines = ["MU"]
-    for x, m, p in zip(kop.mu.positions, kop.mu.masses, kop.phi):
-        lines.append(f"{float(x)!r} {float(m)!r} {float(p)!r}")
-    lines.append("NU")
-    for y, m, p in zip(kop.nu.positions, kop.nu.masses, kop.psi):
-        lines.append(f"{float(y)!r} {float(m)!r} {float(p)!r}")
-    lines.append("FUNCTION")
     if not kop.f.spec:
         raise ValidationError(f"function {kop.f.name} has no serializable spec")
-    lines.append(json.dumps(kop.f.spec, sort_keys=True))
+    lines = []
+    for label, measure, weights in (("MU", kop.mu, kop.phi), ("NU", kop.nu, kop.psi)):
+        lines.append(label)
+        for x, m, w in zip(measure.positions, measure.masses, weights):
+            lines.append(f"{float(x)!r} {float(m)!r} {float(w)!r}")
+    lines += ["FUNCTION", json.dumps(kop.f.spec, sort_keys=True)]
     write_text(path, "\n".join(lines) + "\n", "operator file")
 
 
 def read_kernel_operator(path) -> WeightedKernelOperator:
-    raw = [line.strip() for line in read_text(path, "operator file").split("\n") if line.strip()]
     sections: dict[str, list[str]] = {}
     current = None
-    for line in raw:
+    for line in read_lines(path, "operator file"):
         if line in ("MU", "NU", "FUNCTION"):
-            current = line
-            sections[current] = []
-            continue
-        if current is None:
+            if line in sections:
+                raise ValidationError(f"operator file {path}: repeated {line} section")
+            current = sections[line] = []
+        elif current is None:
             raise ValidationError(f"operator file {path}: data before any section header")
-        sections[current].append(line)
+        else:
+            current.append(line)
     for needed in ("MU", "NU", "FUNCTION"):
         if needed not in sections:
             raise ValidationError(f"operator file {path}: missing {needed} section")
-
-    def parse_atoms(lines, label):
-        if not lines:
-            raise ValidationError(f"operator file {path}: empty {label} section")
-        try:
-            rows = [[float(v) for v in line.split()] for line in lines]
-        except ValueError as exc:
-            raise ValidationError(f"operator file {path}: bad number in {label}") from exc
-        if any(len(r) != 3 for r in rows):
-            raise ValidationError(f"operator file {path}: {label} lines must be 'pos mass weight'")
-        arr = np.asarray(rows)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
-
-    xp, xm, phi = parse_atoms(sections["MU"], "MU")
-    yp, ym, psi = parse_atoms(sections["NU"], "NU")
+        if not sections[needed]:
+            raise ValidationError(f"operator file {path}: empty {needed} section")
+    mu, nu = (float_rows(sections[label], 3, f"operator file {path}, {label} section").T
+              for label in ("MU", "NU"))
     if len(sections["FUNCTION"]) != 1:
         raise ValidationError(f"operator file {path}: FUNCTION section must be one JSON line")
     fspec = parse_json(sections["FUNCTION"][0], f"operator file {path}: FUNCTION line")
-    return kernel_operator(xp, xm, phi, yp, ym, psi, function_from_spec(fspec))
+    return kernel_operator(*mu, *nu, function_from_spec(fspec))

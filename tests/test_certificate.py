@@ -152,6 +152,16 @@ def test_mask_validates_indices():
 
 # ---------------------------------------------------------------- partition
 
+def test_tiny_masses_weigh_without_overflow():
+    # weight^2 alone overflows at 1e160, weight * sqrt(mass) is 0.022 at mass
+    # 5e-324: only the second atom (weighted mass 0.81) is heavy at n = 2.
+    kop = kernel_operator([0.0, 1.0], [5e-324, 1.0], [1e160, 0.9], [0.5], [1.0], [0.5],
+                          absolute_value())
+    np.testing.assert_array_equal(heavy_atoms(kop.mu, kop.phi, 2), [1])
+    part = partition(mask(kop, [1], []), 8, 1.0)
+    assert part.phi_weights.sum() == pytest.approx((1e160 * math.sqrt(5e-324)) ** 2, rel=1e-12)
+
+
 def test_partition_single_interval_for_n1():
     masked, part, radius = masked_instance(47, 30, 1)
     assert part.count == 1

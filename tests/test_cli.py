@@ -3,6 +3,7 @@ import math
 import sys
 import tempfile
 import threading
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -16,8 +17,9 @@ from liplab.certificate import build_certificate, certify
 from liplab.cli import main
 from liplab.errors import ValidationError, json_text
 from liplab.functions import absolute_value, constant_function, function_from_spec, smooth_ramp
+from liplab.ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
 from liplab.linalg import read_matrix, write_matrix
-from liplab.measures import kernel_operator, write_kernel_operator
+from liplab.measures import kernel_operator, materialize, write_kernel_operator
 from liplab.rng import make_rng, random_kernel_operator
 from test_certificate import fail_svd_off_main_thread
 from test_sweeps import GOLDEN_DIR, assert_matches_golden
@@ -296,6 +298,67 @@ def test_contract_beyond_float_range_exits_2(tmp_path, capsys, command, spec, ma
     assert "float range" in captured.err
 
 
+@pytest.mark.parametrize("spec, name", [
+    ({"kind": "pwl", "breakpoints": [1e308], "seed": 1}, "pwl(seed=1)"),
+    ({"kind": "smooth_ramp", "delta": 1e200}, "ramp(d=1e+200)"),
+])
+def test_function_overflow_at_the_spectra_exits_2_without_a_warning(tmp_path, capsys, spec,
+                                                                     name):
+    # f overflows at the eigenvalue -8e307; its one checked evaluation reports that
+    # point instead of numpy warning first.
+    for label, value in (("A", -8e307), ("B", 0.0), ("T", 0.0)):
+        write_matrix(tmp_path / f"{label}.txt", np.array([[value]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["doi", "--function", json.dumps(spec),
+                     *(str(tmp_path / f"{label}.txt") for label in "ABT")]) == 2
+    assert capsys.readouterr().err == f"error: {name} is non-finite at an atom -8e+307\n"
+
+
+@pytest.mark.parametrize("phi, psi", [([1.0, 2.0], [1e-170, 3e-170]),
+                                      ([1e200, 2e200], [1e-200, 3e-200])],
+                         ids=["psi-squares-underflow", "phi-squares-overflow"])
+def test_certify_at_any_weight_scale(tmp_path, capsys, phi, psi):
+    # Summed plainly, the squared weights underflow to 0 (a false zero-kernel
+    # certificate s_0 <= 0) or overflow to inf (a NaN norm product, exit 3).
+    kop = kernel_operator([0.0, 1.0], [1.0, 1.0], phi, [0.5, 2.0], [1.0, 1.0], psi,
+                          absolute_value())
+    write_kernel_operator(tmp_path / "kop.txt", kop)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "1,2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count(" OK\n") == 2
+    spectrum = singular_spectrum(materialize(kop))
+    assert spectrum[0] > 0.0
+    product = math.hypot(*phi) * math.hypot(*psi)
+    for record in json.loads(captured.out)["certificates"]:
+        assert record["verification"]["norm_product"] == pytest.approx(product, rel=1e-15)
+        assert singular_value_at(spectrum, record["defect_rank"]) <= record["empirical_bound"]
+        assert record["empirical_bound"] <= record["analytic_bound"]
+        assert record["defect_rank"] <= 7 * record["n"]
+        assert weak_s1_quasinorm(spectrum) <= certificate.WEAK_NORM_CONSTANT * product
+
+
+@pytest.mark.parametrize("phi, psi", [(1e200, 1e200), (1e-83, 1e-265), (1.0, 1e-310)])
+def test_certify_norms_outside_the_normal_float_range_exit_2(tmp_path, capsys, phi, psi):
+    # M = [[0]] fits, but the scale of its bounds overflows or underflows, or
+    # ||psi|| is subnormal, too coarse to normalize by.
+    kop = kernel_operator([-1.0], [1.0], [phi], [1.0], [1.0], [psi], absolute_value())
+    write_kernel_operator(tmp_path / "kop.txt", kop)
+    assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "1"]) == 2
+    assert capsys.readouterr().err.endswith("is outside the normal float range\n")
+
+
+def test_certify_rejects_a_repeated_section(tmp_path, capsys):
+    # A second MU once replaced the first, and the one-atom operator certified.
+    path = tmp_path / "kop.txt"
+    path.write_text('MU\n0.0 1.0 1.0\n0.5 1.0 1.0\nNU\n1.0 1.0 1.0\nMU\n0.25 1.0 1.0\n'
+                    'FUNCTION\n{"kind": "abs"}\n')
+    assert main(["certify", "--input", str(path), "--n", "1,2"]) == 2
+    assert capsys.readouterr().err == f"error: operator file {path}: repeated MU section\n"
+
+
 def test_bscheck_applies_no_contract_at_lip_0(tmp_path, capsys):
     # f(A) - f(B) and the DOI are both 0 here; the residual is only frame rounding.
     write_matrix(tmp_path / "A.txt", np.array([[1.0, 0.5], [0.5, -1.0]]))
@@ -452,7 +515,6 @@ def _calls(draw):
 _NOT_UTF8 = b"\xff\xfe"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme inputs overflow
 @settings(max_examples=400, deadline=None)
 @given(_calls())
 @example((["fdelta", "--function", '{"kind": "smooth_ramp", "delta": 1e200}',
@@ -475,7 +537,24 @@ _NOT_UTF8 = b"\xff\xfe"
 @example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": "[" * 100_000}))  # too deep
 @example((["fdelta", "--function", '{"kind": "abs"}', "{dir}/A.txt", "{dir}/B.txt"],
           {"A.txt": "1 10000000000000\n0.5\n", "B.txt": "1 1\n2.0\n"}))
+@example((["doi", "--function", '{"kind": "pwl", "breakpoints": [1e308], "seed": 1}',
+           "{dir}/A.txt", "{dir}/B.txt", "{dir}/T.txt"],
+          {"A.txt": "1 1\n-8e307\n", "B.txt": "1 1\n0\n", "T.txt": "1 1\n0\n"}))
+@example((["certify", "--input", "{dir}/kop.txt", "--n", "1,2"],
+          {"kop.txt": "MU\n0.0 1.0 1.0\n1.0 1.0 2.0\nNU\n0.5 1.0 1e-170\n2.0 1.0 3e-170\n"
+                      'FUNCTION\n{"kind": "abs"}\n'}))
+@example((["certify", "--input", "{dir}/kop.txt", "--n", "1,2"],
+          {"kop.txt": "MU\n0.0 1.0 1e200\n1.0 1.0 2e200\nNU\n0.5 1.0 1e-200\n2.0 1.0 3e-200\n"
+                      'FUNCTION\n{"kind": "abs"}\n'}))
+@example((["certify", "--input", "{dir}/kop.txt", "--n", "1,2,4"],
+          {"kop.txt": "MU\n0.0 5e-324 1.0\n1.0 1.0 1e-160\nNU\n0.5 1.0 1.0\n"
+                      'FUNCTION\n{"kind": "abs"}\n'}))
+@example((["certify", "--input", "{dir}/kop.txt", "--n=1"],
+          {"kop.txt": "MU\n0.0 1.0 1.33806541695829e-83\nNU\n0.0 1.0 1.2348470881346155e-265\n"
+                      'FUNCTION\n{"kind": "abs"}\n'}))
 def test_cli_fuzz_exits_0_2_or_3(call):
+    # RuntimeWarnings are errors in this suite: extreme input is rejected by a
+    # check, never after numpy warns.
     argv, files = call
     with tempfile.TemporaryDirectory() as tmp:
         for name, contents in files.items():

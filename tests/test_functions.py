@@ -126,9 +126,21 @@ def test_apply_non_finite_value_names_eigenvalue():
 def test_apply_non_finite_message_names_a_plain_float():
     # smooth_ramp(1e200) overflows to inf everywhere; numpy 2's scalar repr
     # would read "np.float64(0.0)".
-    with np.errstate(over="ignore"), pytest.raises(ValidationError) as exc:
+    with pytest.raises(ValidationError) as exc:
         apply_function(smooth_ramp(1e200), eigh_symmetric(np.diag([0.0, 1.0])))
     assert str(exc.value) == "ramp(d=1e+200) is non-finite at eigenvalue 0.0"
+
+
+def test_non_finite_values_raise_without_a_warning():
+    # f.at evaluates with overflow silenced, so its check, not a RuntimeWarning
+    # (an error under this suite's settings), reports the first bad point.
+    f = piecewise_linear([1e308], 1)
+    with pytest.raises(ValidationError) as exc:
+        loewner_matrix(f, [1.0, -8e307], [-9e307])
+    assert str(exc.value) == "pwl(seed=1) is non-finite at an atom -8e+307"
+    with pytest.raises(ValidationError, match="is non-finite at x = 0.0"):
+        smooth_ramp(1e200).at(np.zeros(1), "x =")
+    np.testing.assert_array_equal(f.at([1.0, 2.0], "x ="), f([1.0, 2.0]))
 
 
 def test_pwl_construction():

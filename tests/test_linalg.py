@@ -104,6 +104,12 @@ def test_frobenius_beyond_squared_range():
     assert frobenius(a) == pytest.approx(math.hypot(1e160, 3e159, 3e159, -2e159), rel=1e-15)
     with pytest.raises(ValidationError):
         frobenius(np.full((2, 2), 1e308))
+    # The entries' squares underflow; the norm itself is a normal float.
+    assert frobenius(np.array([[1e-170, 3e-170]])) == pytest.approx(3.1622776601683794e-170,
+                                                                     rel=1e-15)
+    assert frobenius(np.array([5e-324, 0.0])) == 5e-324
+    assert frobenius(np.zeros((2, 3))) == 0.0
+    assert frobenius(np.zeros((0, 3))) == 0.0
 
 
 def test_svd_diagonal_with_negative():

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
+from liplab.certificate import normalize
 from liplab.errors import ValidationError
 from liplab.functions import absolute_value, constant_function
 from liplab.measures import (DiscreteMeasure, WeightedKernelOperator, kernel_operator,
-                             materialize, read_kernel_operator, weighted_l2_norm,
-                             write_kernel_operator)
+                             materialize, read_kernel_operator, write_kernel_operator)
 from liplab.rng import make_rng, random_kernel_operator
 
 
@@ -44,11 +46,32 @@ def test_weight_shape_validation():
 
 
 def test_norms():
-    assert weighted_l2_norm([2.0, 1.0], [0.25, 1.0]) == pytest.approx(np.sqrt(2.0))
+    kop = kernel_operator([0.0, 1.0], [0.25, 1.0], [2.0, 1.0], [1.0], [1.0], [3.0],
+                          absolute_value())
+    assert kop.phi_norm == pytest.approx(np.sqrt(2.0))
     kop = kernel_operator([0.0], [4.0], [0.5], [1.0], [1.0], [3.0], absolute_value())
     assert kop.phi_norm == pytest.approx(1.0)
     assert kop.psi_norm == pytest.approx(3.0)
     assert kop.norm_product == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("weights", [[1e-170, 3e-170], [1e200, 3e200], [5e-324, 0.0]])
+def test_norms_at_any_weight_scale(weights):
+    # The plain sum of squared weights underflows to 0 or overflows to inf here.
+    kop = kernel_operator([0.0, 1.0], [1.0, 4.0], weights, [1.0], [1.0], [1.0], absolute_value())
+    assert kop.phi_norm == pytest.approx(math.hypot(weights[0], 2.0 * weights[1]), rel=1e-15)
+    assert kop.phi_norm > 0.0
+
+
+def test_materialize_rejects_an_entry_beyond_the_float_range():
+    kop = kernel_operator([0.0, 1.0], [1.0, 1.0], [1.0, 1e200], [2.0], [1.0], [1e200],
+                          absolute_value())
+    with pytest.raises(ValidationError, match="rows 0-1 exceeds the float range"):
+        materialize(kop)
+    # weight * sqrt(mass) itself overflows; the entry would be inf * 0 = NaN.
+    kop = kernel_operator([0.0], [1e300], [1e300], [0.0], [1.0], [1.0], absolute_value())
+    with pytest.raises(ValidationError, match="exceeds the float range"):
+        materialize(kop)
 
 
 def test_materialize_constant_function_is_zero():
@@ -116,3 +139,30 @@ def test_operator_file_errors(tmp_path):
     path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 1.0\nFUNCTION\nnot json\n")
     with pytest.raises(ValidationError, match="JSON"):
         read_kernel_operator(path)
+    path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 1.0\nFUNCTION\n")
+    with pytest.raises(ValidationError, match="empty FUNCTION section"):
+        read_kernel_operator(path)
+    path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 x\nFUNCTION\n{\"kind\": \"abs\"}\n")
+    with pytest.raises(ValidationError, match="NU section: bad number in row 0"):
+        read_kernel_operator(path)
+
+
+@pytest.mark.parametrize("repeated", ["MU", "NU", "FUNCTION"])
+def test_operator_file_rejects_a_repeated_section(tmp_path, repeated):
+    # A later section would silently replace the earlier one.
+    later = {"MU": "MU\n0.25 1.0 1.0", "NU": "NU\n2.0 1.0 1.0",
+             "FUNCTION": 'FUNCTION\n{"kind": "clamp"}'}[repeated]
+    path = tmp_path / "kop.txt"
+    path.write_text("MU\n0.0 1.0 1.0\n0.5 1.0 1.0\nNU\n1.0 1.0 1.0\n"
+                    f'FUNCTION\n{{"kind": "abs"}}\n{later}\n')
+    with pytest.raises(ValidationError, match=f"repeated {repeated} section"):
+        read_kernel_operator(path)
+
+
+def test_normalized_operator_is_not_written(tmp_path):
+    # Its function carries no spec that function_from_spec could read back.
+    unit = normalize(random_kernel_operator(make_rng(34), absolute_value(), 3, 3))[0]
+    path = tmp_path / "kop.txt"
+    with pytest.raises(ValidationError, match="has no serializable spec"):
+        write_kernel_operator(path, unit)
+    assert not path.exists()
