@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import SoundnessError, ValidationError
-from .functions import LipschitzFunction, apply_function, loewner_matrix
+from .functions import LipschitzFunction, apply_function, loewner_rows
 from .linalg import SpectralDecomposition, as_matrix, as_symmetric, eigh_symmetric, frobenius
 from .measures import row_blocks
 
@@ -52,15 +52,16 @@ def eigenbasis_product(f: LipschitzFunction, lam: np.ndarray, mu: np.ndarray, x:
     owns and no longer needs.  t_norm is ||T||_F.  Every Loewner entry is at
     most lip in size, so ||L o X||_F, which equals ||doi(f, T)||_F, must be at
     most lip * t_norm up to S2_SLACK, or SoundnessError is raised.  A function
-    non-finite at the spectra is bad input: loewner_matrix raises
+    non-finite at the spectra is bad input: loewner_rows raises
     ValidationError.
     """
     _require_shape("X", x, np.shape(lam) + np.shape(mu))
     allowed = f.lip * t_norm * (1.0 + S2_SLACK)
     if not math.isfinite(allowed):
         raise ValidationError("lip * ||T||_F exceeds the float range")
+    loewner = loewner_rows(f, mu)
     for rows in row_blocks(*x.shape):
-        x[rows] *= loewner_matrix(f, lam[rows], mu)
+        x[rows] *= loewner(lam[rows])
     SoundnessError.require("S2 Schur-multiplier bound violated", frobenius(x), allowed)
     return x
 

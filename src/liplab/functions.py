@@ -172,21 +172,46 @@ def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
     Raises ValidationError where an entry could be NaN: f non-finite at an
     atom (f.at, xs before ys), or x - y or f(x) - f(y) overflowing to inf / inf.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return loewner_rows(f, ys)(xs)
+
+
+def loewner_rows(f: LipschitzFunction, ys) -> Callable[[np.ndarray], np.ndarray]:
+    """xs -> loewner_matrix(f, xs, ys) for fixed columns ys, f evaluated at ys once.
+
+    For row-block loops over one column set.  Each call applies loewner_matrix's
+    rule unchanged: f is checked at xs before ys, so the first call names the
+    same bad atom as loewner_matrix, and ys enter the spread checks through
+    their extremes, whose range is that of ys.
+    """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    points = np.r_[xs, ys]
-    values = f.at(points, "an atom")
-    fx, fy = values[:xs.size], values[xs.size:]
-    with np.errstate(over="ignore"):
-        spreads = [np.ptp(points), np.ptp(values)] if points.size else []
-    if not np.all(np.isfinite(spreads)):
-        raise ValidationError(f"atoms or their {f.name} values spread beyond the float range")
-    dx = xs[:, None] - ys[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quot = fx[:, None] - fy[None, :]
-        quot /= dx
-    quot[dx == 0.0] = 0.0
-    return np.clip(quot, -f.lip, f.lip, out=quot)
+    columns = None  # (f(ys), extremes of ys, extremes of f(ys)), after the first row check
+
+    def rows(xs) -> np.ndarray:
+        nonlocal columns
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        fx = f.at(xs, "an atom")
+        if columns is None:
+            fy = f.at(ys, "an atom")
+            columns = fy, _extremes(ys), _extremes(fy)
+        fy, y_ends, fy_ends = columns
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is not finite either
+            spreads = ([np.ptp(np.r_[xs, y_ends]), np.ptp(np.r_[fx, fy_ends])]
+                       if xs.size or ys.size else [])
+        if not np.all(np.isfinite(spreads)):
+            raise ValidationError(f"atoms or their {f.name} values spread beyond the float range")
+        dx = xs[:, None] - ys[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quot = fx[:, None] - fy[None, :]
+            quot /= dx
+        quot[dx == 0.0] = 0.0
+        return np.clip(quot, -f.lip, f.lip, out=quot)
+
+    return rows
+
+
+def _extremes(values: np.ndarray) -> np.ndarray:
+    """[min, max] of values (NaN if any is), or no entry for no values."""
+    return np.r_[values.min(), values.max()] if values.size else values
 
 
 def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarray:

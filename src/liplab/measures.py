@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, float_rows, parse_json, read_lines, write_text
-from .functions import LipschitzFunction, function_from_spec, loewner_matrix
+from .functions import LipschitzFunction, function_from_spec, loewner_rows
 from .linalg import frobenius
 
 # Entries per row block of the dense kernel passes: a block and its temporaries
@@ -133,12 +133,14 @@ def materialize(kop: WeightedKernelOperator) -> np.ndarray:
     Built in row blocks, so the only full-size array is the result.  Raises
     loewner_matrix's ValidationError where an entry could be NaN, and one naming
     the row block where an entry is beyond the float range (checked, not warned).
+    f is evaluated at the NU atoms once, and at each block's MU atoms.
     """
     left = kop.mu.coordinates(kop.phi)
     right = kop.nu.coordinates(kop.psi)
     out = np.empty((kop.mu.size, kop.nu.size))
+    loewner = loewner_rows(kop.f, kop.nu.positions)
     for rows in row_blocks(*out.shape):
-        dd = loewner_matrix(kop.f, kop.mu.positions[rows], kop.nu.positions)
+        dd = loewner(kop.mu.positions[rows])
         with np.errstate(over="ignore", invalid="ignore"):
             out[rows] = left[rows, None] * dd * right[None, :]
         if not np.all(np.isfinite(out[rows])):

@@ -68,6 +68,15 @@ def random_trace_spectrum(rng: np.random.Generator, dim: int) -> np.ndarray:
     return sigma * (1.0 / total)
 
 
+def _has_ties(values: np.ndarray) -> bool:
+    """Whether two values are equal: sorted neighbours, compared without subtracting.
+
+    Not np.unique, which imports numpy.ma to ask whether values is masked.
+    """
+    ordered = np.sort(values)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 def random_kernel_operator(rng: np.random.Generator, f: LipschitzFunction,
                            mu_atoms: int, nu_atoms: int) -> WeightedKernelOperator:
     """Random atoms in [-3, 3] with occasional boosted weights.
@@ -78,7 +87,7 @@ def random_kernel_operator(rng: np.random.Generator, f: LipschitzFunction,
 
     def side(count):
         pos = rng.uniform(-3.0, 3.0, count)
-        while np.unique(pos).size != count:  # measure-zero event; redraw for strictness
+        while _has_ties(pos):  # measure-zero event; redraw for strictness
             pos = rng.uniform(-3.0, 3.0, count)
         masses = rng.uniform(0.5, 1.5, count) / count
         weights = rng.standard_normal(count)

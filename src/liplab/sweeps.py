@@ -331,9 +331,13 @@ def _run_instances(cfg: SweepConfig) -> list:
     more than one available core, the pairs run in a pool of forked workers,
     one per core, largest sizes first so that the biggest instances do not form
     the tail.  Forked workers inherit the loaded modules and their state, the
-    pin included.  A pool runs only if the loaded BLAS can be pinned: workers
-    that each start the parent's BLAS threads oversubscribe the cores and run
-    slower than this process alone.  Otherwise the pairs run here.
+    pin included.  numpy.random (numpy 2 loads it lazily; make_rng needs it) and
+    certify's ThreadPoolExecutor are imported here before the fork, so the
+    workers share those pages copy-on-write instead of each loading them again,
+    which cost every worker 5-7 MiB of peak RSS.  A pool runs only if the loaded
+    BLAS can be pinned: workers that each start the parent's BLAS threads
+    oversubscribe the cores and run slower than this process alone.  Otherwise
+    the pairs run here.
     """
     pairs = [(size, idx) for size in cfg.dimensions for idx in range(cfg.ensemble)]
     threads = _openblas_threads()
@@ -345,7 +349,10 @@ def _run_instances(cfg: SweepConfig) -> list:
         if workers == 1:
             return [_instance(cfg, *pair) for pair in pairs]
         # Imported here: a pool is not needed to import liplab, and they cost import time.
-        from concurrent.futures import ProcessPoolExecutor
+        # numpy.random and ThreadPoolExecutor are not used here: imported before the fork,
+        # every worker inherits them instead of loading them on its first instance.
+        import numpy.random  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
         from multiprocessing import get_context
 
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))

@@ -8,7 +8,7 @@ from liplab import doi, sweeps
 from liplab.doi import (birman_solomyak_delta, bs_residual_bound, check_birman_solomyak,
                         doi_apply, eigenbasis_product, f_delta, rank_one_perturb)
 from liplab.errors import CertificateUnsoundError, SoundnessError, ValidationError
-from liplab.functions import (absolute_value, apply_function, constant_function, default_suite,
+from liplab.functions import (LipschitzFunction, absolute_value, apply_function, constant_function, default_suite,
                               identity_function, piecewise_linear)
 from liplab.ideals import schatten_norm, singular_spectrum
 from liplab.linalg import SpectralDecomposition, eigh_symmetric, frobenius
@@ -91,6 +91,17 @@ def test_eigenbasis_product_has_the_singular_values_of_doi_apply():
             assert np.max(np.abs(got - expected)) <= 1e-12 * expected[0]
 
 
+def test_eigenbasis_product_evaluates_f_once_per_eigenvalue():
+    sizes = []
+    f = LipschitzFunction("abs", lambda x: sizes.append(x.size) or np.abs(x), 1.0)
+    rng = make_rng(42)
+    lam, mu = rng.uniform(-1.0, 1.0, 300), rng.uniform(-1.0, 1.0, 200)
+    x = rng.standard_normal((300, 200))
+    expected = eigenbasis_product(absolute_value(), lam, mu, x.copy(), frobenius(x))
+    np.testing.assert_array_equal(eigenbasis_product(f, lam, mu, x, frobenius(x)), expected)
+    assert sum(sizes) == 300 + 200
+
+
 def test_eigenbasis_product_rejects_a_mismatched_x():
     lam = np.array([0.0, 1.0, 2.0])
     for mu, x in ((lam, np.zeros((3, 2))), (lam[:2], np.zeros((3, 3))),
@@ -100,8 +111,8 @@ def test_eigenbasis_product_rejects_a_mismatched_x():
 
 
 def test_s2_guard_catches_a_loewner_matrix_beyond_lip(monkeypatch):
-    monkeypatch.setattr(doi, "loewner_matrix",
-                        lambda f, xs, ys: np.full((len(xs), len(ys)), 2.0 * f.lip))
+    monkeypatch.setattr(doi, "loewner_rows",
+                        lambda f, ys: lambda xs: np.full((len(xs), len(ys)), 2.0 * f.lip))
     rng = make_rng(25)
     f = absolute_value()
     a = random_symmetric(rng, 6)

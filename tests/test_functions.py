@@ -4,7 +4,7 @@ import pytest
 from liplab.errors import ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
                               clamp_function, constant_function, default_suite,
-                              function_from_spec, identity_function, loewner_matrix,
+                              function_from_spec, identity_function, loewner_matrix, loewner_rows,
                               piecewise_linear, shifted_absolute, smooth_ramp)
 from liplab.linalg import eigh_symmetric, frobenius
 from liplab.rng import make_rng, random_symmetric
@@ -141,6 +141,35 @@ def test_non_finite_values_raise_without_a_warning():
     with pytest.raises(ValidationError, match="is non-finite at x = 0.0"):
         smooth_ramp(1e200).at(np.zeros(1), "x =")
     np.testing.assert_array_equal(f.at([1.0, 2.0], "x ="), f([1.0, 2.0]))
+
+
+def test_loewner_rows_evaluate_f_at_the_columns_once():
+    rng = make_rng(40)
+    xs, ys = rng.uniform(-3.0, 3.0, 50), rng.uniform(-3.0, 3.0, 40)
+    for f in default_suite():
+        sizes = []
+        counted = LipschitzFunction(f.name, lambda x, _f=f: sizes.append(x.size) or _f.eval(x),
+                                    f.lip)
+        rows = loewner_rows(counted, ys)
+        for block in (slice(0, 17), slice(17, 34), slice(34, 50)):
+            np.testing.assert_array_equal(rows(xs[block]), loewner_matrix(f, xs[block], ys))
+        assert sizes == [17, 40, 17, 16]
+
+
+def test_loewner_rows_keep_the_rule_of_loewner_matrix():
+    # A bad row atom is named before a bad column atom, as on the concatenated atoms.
+    hole = LipschitzFunction("hole", lambda x: np.where(x > 5.0, np.nan, x), 1.0)
+    rows = loewner_rows(hole, [1.0, 7.0])
+    with pytest.raises(ValidationError, match="hole is non-finite at an atom 6.0"):
+        rows([0.0, 6.0])
+    with pytest.raises(ValidationError, match="hole is non-finite at an atom 7.0"):
+        rows([0.0])
+    # The spread checks span rows and columns; inf - inf raises without a warning.
+    with pytest.raises(ValidationError, match="spread beyond the float range"):
+        loewner_rows(identity_function(), [0.0, -1e308])([1e308])
+    with pytest.raises(ValidationError, match="spread beyond the float range"):
+        loewner_matrix(clamp_function(), [np.inf], [np.inf])
+    assert loewner_rows(absolute_value(), [1.0, 2.0])([]).shape == (0, 2)
 
 
 def test_pwl_construction():

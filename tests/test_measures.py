@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from liplab.certificate import normalize
 from liplab.errors import ValidationError
-from liplab.functions import absolute_value, constant_function
+from liplab.functions import LipschitzFunction, absolute_value, constant_function
 from liplab.measures import (DiscreteMeasure, WeightedKernelOperator, kernel_operator,
-                             materialize, read_kernel_operator, write_kernel_operator)
+                             materialize, read_kernel_operator, row_blocks,
+                             write_kernel_operator)
 from liplab.rng import make_rng, random_kernel_operator
 
 
@@ -72,6 +74,17 @@ def test_materialize_rejects_an_entry_beyond_the_float_range():
     kop = kernel_operator([0.0], [1e300], [1e300], [0.0], [1.0], [1.0], absolute_value())
     with pytest.raises(ValidationError, match="exceeds the float range"):
         materialize(kop)
+
+
+def test_materialize_evaluates_f_once_per_atom():
+    # f at the NU atoms once per call, and at each row block's MU atoms.
+    sizes = []
+    f = LipschitzFunction("abs", lambda x: sizes.append(x.size) or np.abs(x), 1.0)
+    kop = random_kernel_operator(make_rng(41), f, 400, 300)
+    m = materialize(kop)
+    assert len(row_blocks(400, 300)) > 1
+    assert sum(sizes) == 400 + 300
+    np.testing.assert_array_equal(m, materialize(dataclasses.replace(kop, f=absolute_value())))
 
 
 def test_materialize_constant_function_is_zero():

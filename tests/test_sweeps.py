@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -397,6 +399,49 @@ def test_workers_inherit_the_pin_and_the_caller_gets_its_threads_back(tmp_path, 
         assert get_threads() == 2
     finally:
         set_threads(before)
+
+
+# Run in a fresh interpreter, so modules this process has loaded cannot hide a worker's
+# import.  The wrapper replaces sweeps._instance; pool.submit pickles it by name, so the
+# forked workers run it too, and it appends "pid module..." per instance to a log.
+_WORKER_IMPORTS = """
+import os, sys
+from liplab import sweeps
+from liplab.sweeps import load_config, run_sweep
+
+log, instance = sys.argv[1], sweeps._instance
+
+def recording_instance(*args):
+    before = set(sys.modules)
+    result = instance(*args)
+    with open(log, "a") as fh:
+        fh.write(" ".join([str(os.getpid()), *sorted(set(sys.modules) - before)]) + "\\n")
+    return result
+
+sweeps._instance = recording_instance
+sweeps._cores = lambda: 2
+for experiment in sweeps.EXPERIMENTS:
+    run_sweep(load_config({"experiment": experiment, "dimensions": [8, 12], "ensemble": 2,
+                           "seed": 3, "function": {"kind": "abs"}, "p": 1.0,
+                           "epsilon": 0.5, "n_values": [2]}))
+print(os.getpid())
+"""
+
+
+def test_sweep_workers_import_nothing(tmp_path):
+    """Workers inherit every module an instance needs from the caller, numpy.random included."""
+    if sweeps._openblas_threads() is None:
+        pytest.skip("no loaded OpenBLAS whose thread count can be set")
+    log = tmp_path / "imports"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(sweeps.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _WORKER_IMPORTS, str(log)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    records = [line.split() for line in log.read_text().splitlines()]
+    assert len(records) == len(sweeps.EXPERIMENTS) * 4
+    assert str(int(done.stdout)) not in {pid for pid, *_ in records}
+    assert [imported for _, *imported in records if imported] == []
 
 
 @pytest.mark.parametrize("experiment", sorted(GOLDEN_CONFIGS))
