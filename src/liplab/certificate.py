@@ -41,7 +41,8 @@ import numpy as np
 from .errors import (CertificateUnsoundError, PartitionInfeasibleError, ValidationError,
                      checked_integers)
 from .ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
-from .measures import DiscreteMeasure, WeightedKernelOperator, materialize, row_blocks
+from .linalg import row_blocks
+from .measures import DiscreteMeasure, WeightedKernelOperator, materialize
 
 # Dimension-free constant for the weak quasinorm check in verify_certificate.
 # The construction chain above certifies roughly 8 * (1 + 4 + 4 * sqrt(5)) ~ 110;

@@ -9,8 +9,9 @@ where U, V are the eigenvector frames, L the Loewner matrix of f at the two
 spectra, and o the entrywise product.  With T = A - B this reproduces
 f(A) - f(B) exactly (Birman and Solomyak).
 
-eigenbasis_product computes L o X from the two spectra and X alone, and
-every path here goes through it: doi_apply conjugates it back,
+eigenbasis_product computes L o X from the two spectra and X alone, taking
+L one row block at a time from functions.loewner_blocks, so L is never held
+whole; every path here goes through it: doi_apply conjugates it back,
 birman_solomyak_delta compares its conjugate with f(A) - f(B), and a caller
 that reads only singular values takes them from L o X itself, since
 s(U (L o X) V^T) = s(L o X).  Such a caller needs a frame only until it has
@@ -29,9 +30,8 @@ import math
 import numpy as np
 
 from .errors import SoundnessError, ValidationError
-from .functions import LipschitzFunction, apply_function, loewner_rows
+from .functions import LipschitzFunction, apply_function, loewner_blocks
 from .linalg import SpectralDecomposition, as_matrix, as_symmetric, eigh_symmetric, frobenius
-from .measures import row_blocks
 
 # Residual contract for the Birman-Solomyak identity, relative to
 # (1 + ||A||_F + ||B||_F) * lip.
@@ -48,20 +48,20 @@ def eigenbasis_product(f: LipschitzFunction, lam: np.ndarray, mu: np.ndarray, x:
     lam and mu are the eigenvalues of the two operators, in the order of the
     columns of U and V; the frames themselves are not needed.  The Loewner
     matrix L of f at lam (rows) and mu (columns) multiplies x in place, one
-    row block at a time, and x itself is returned, so pass an array the caller
-    owns and no longer needs.  t_norm is ||T||_F.  Every Loewner entry is at
-    most lip in size, so ||L o X||_F, which equals ||doi(f, T)||_F, must be at
-    most lip * t_norm up to S2_SLACK, or SoundnessError is raised.  A function
-    non-finite at the spectra is bad input: loewner_rows raises
-    ValidationError.
+    block of loewner_blocks at a time, and x itself is returned, so pass an
+    array the caller owns and no longer needs.  t_norm is ||T||_F.  Every
+    Loewner entry is at most lip in size, so ||L o X||_F, which equals
+    ||doi(f, T)||_F, must be at most lip * t_norm up to S2_SLACK, or
+    SoundnessError is raised.  f is evaluated at each eigenvalue once; a
+    spectrum at which L could hold a NaN is bad input, and loewner_blocks
+    raises ValidationError whatever the block size.
     """
     _require_shape("X", x, np.shape(lam) + np.shape(mu))
     allowed = f.lip * t_norm * (1.0 + S2_SLACK)
     if not math.isfinite(allowed):
         raise ValidationError("lip * ||T||_F exceeds the float range")
-    loewner = loewner_rows(f, mu)
-    for rows in row_blocks(*x.shape):
-        x[rows] *= loewner(lam[rows])
+    for rows, block in loewner_blocks(f, lam, mu):
+        x[rows] *= block
     SoundnessError.require("S2 Schur-multiplier bound violated", frobenius(x), allowed)
     return x
 

@@ -1,4 +1,4 @@
-"""Lipschitz function suite, divided differences, Loewner matrices, f(A).
+"""Lipschitz function suite, divided differences, Loewner matrices and their row blocks, f(A).
 
 A LipschitzFunction bundles a vectorized evaluation rule with a certified
 seminorm: |f(x) - f(y)| <= lip * |x - y| for all reals.  The divided
@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError, checked
-from .linalg import SpectralDecomposition
+from .linalg import SpectralDecomposition, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +55,7 @@ def absolute_value() -> LipschitzFunction:
 
 
 def shifted_absolute(t: float) -> LipschitzFunction:
-    t = float(t)
+    t = checked(t, float, "shifted_abs t")
     return LipschitzFunction(
         f"abs(x-{t!r})",
         lambda x, _t=t: np.abs(x - _t),
@@ -69,8 +69,8 @@ def clamp_function() -> LipschitzFunction:
 
 
 def smooth_ramp(delta: float = 0.1) -> LipschitzFunction:
-    delta = float(delta)
-    if delta <= 0:
+    delta = checked(delta, float, "smooth_ramp delta")
+    if not delta > 0:
         raise ValidationError("smooth_ramp requires delta > 0")
     return LipschitzFunction(
         f"ramp(d={delta!r})",
@@ -85,7 +85,7 @@ def identity_function() -> LipschitzFunction:
 
 
 def constant_function(c: float) -> LipschitzFunction:
-    c = float(c)
+    c = checked(c, float, "constant c")
     return LipschitzFunction(
         f"const({c!r})",
         lambda x, _c=c: np.full_like(np.asarray(x, dtype=float), _c),
@@ -104,9 +104,11 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
     nodes = np.asarray(breakpoints, dtype=float)
     if nodes.ndim != 1 or nodes.size < 1:
         raise ValidationError("piecewise_linear needs at least one breakpoint")
+    checked(nodes.tolist(), [float], "pwl breakpoints")  # each finite
+    seed = checked(seed, int, "pwl seed")
     if not np.all(nodes[1:] > nodes[:-1]):  # no subtraction: it overflows at +-1e308
         raise ValidationError("breakpoints must be strictly increasing")
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
+    rng = np.random.Generator(np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF))
     slopes = rng.integers(0, 2, size=nodes.size + 1) * 2.0 - 1.0
     # Node values by accumulating interior slopes from the first node.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -121,23 +123,22 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
         return _v[anchor] + _s[idx] * (x - _n[anchor])
 
     return LipschitzFunction(
-        f"pwl(seed={int(seed)})",
+        f"pwl(seed={seed})",
         _eval,
         1.0,
-        {"kind": "pwl", "breakpoints": [float(t) for t in nodes], "seed": int(seed)},
+        {"kind": "pwl", "breakpoints": [float(t) for t in nodes], "seed": seed},
     )
 
 
 _KINDS = {
     "abs": lambda spec: absolute_value(),
-    "shifted_abs": lambda spec: shifted_absolute(checked(spec["t"], float, "shifted_abs t")),
+    "shifted_abs": lambda spec: shifted_absolute(spec["t"]),
     "clamp": lambda spec: clamp_function(),
     "pwl": lambda spec: piecewise_linear(checked(spec["breakpoints"], [float], "pwl breakpoints"),
-                                         checked(spec["seed"], int, "pwl seed")),
-    "smooth_ramp": lambda spec: smooth_ramp(checked(spec.get("delta", 0.1), float,
-                                                    "smooth_ramp delta")),
+                                         spec["seed"]),
+    "smooth_ramp": lambda spec: smooth_ramp(spec.get("delta", 0.1)),
     "identity": lambda spec: identity_function(),
-    "constant": lambda spec: constant_function(checked(spec.get("c", 0.0), float, "constant c")),
+    "constant": lambda spec: constant_function(spec.get("c", 0.0)),
 }
 
 
@@ -169,49 +170,41 @@ def default_suite() -> list[LipschitzFunction]:
 def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
     """Matrix of divided differences of f sampled at xs (rows) and ys (columns).
 
-    Raises ValidationError where an entry could be NaN: f non-finite at an
-    atom (f.at, xs before ys), or x - y or f(x) - f(y) overflowing to inf / inf.
+    Raises loewner_blocks' ValidationError where an entry could be NaN.
     """
-    return loewner_rows(f, ys)(xs)
+    out = np.empty((np.size(xs), np.size(ys)))
+    for rows, block in loewner_blocks(f, xs, ys):
+        out[rows] = block
+    return out
 
 
-def loewner_rows(f: LipschitzFunction, ys) -> Callable[[np.ndarray], np.ndarray]:
-    """xs -> loewner_matrix(f, xs, ys) for fixed columns ys, f evaluated at ys once.
+def loewner_blocks(f: LipschitzFunction, xs, ys):
+    """(rows, loewner_matrix(f, xs, ys)[rows]) over row_blocks(len(xs), len(ys)).
 
-    For row-block loops over one column set.  Each call applies loewner_matrix's
-    rule unchanged: f is checked at xs before ys, so the first call names the
-    same bad atom as loewner_matrix, and ys enter the spread checks through
-    their extremes, whose range is that of ys.
+    f is evaluated at xs, then at ys, once each, and the rule that no entry
+    can be NaN is checked once over all atoms, before the first block: f is
+    finite at every atom (f.at names the first bad one, xs before ys), and the
+    atoms and their f values spread within the float range, so neither x - y
+    nor f(x) - f(y) overflows to inf / inf.  Each block is a new array, and
+    no temporary stays alive while the caller works on it.
     """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    columns = None  # (f(ys), extremes of ys, extremes of f(ys)), after the first row check
-
-    def rows(xs) -> np.ndarray:
-        nonlocal columns
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        fx = f.at(xs, "an atom")
-        if columns is None:
-            fy = f.at(ys, "an atom")
-            columns = fy, _extremes(ys), _extremes(fy)
-        fy, y_ends, fy_ends = columns
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is not finite either
-            spreads = ([np.ptp(np.r_[xs, y_ends]), np.ptp(np.r_[fx, fy_ends])]
-                       if xs.size or ys.size else [])
-        if not np.all(np.isfinite(spreads)):
-            raise ValidationError(f"atoms or their {f.name} values spread beyond the float range")
-        dx = xs[:, None] - ys[None, :]
+    fx = f.at(xs, "an atom")
+    fy = f.at(ys, "an atom")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is not finite either
+        spreads = [np.ptp(np.r_[xs, ys]), np.ptp(np.r_[fx, fy])] if xs.size or ys.size else []
+    if not np.all(np.isfinite(spreads)):
+        raise ValidationError(f"atoms or their {f.name} values spread beyond the float range")
+    for rows in row_blocks(xs.size, ys.size):
+        dx = xs[rows, None] - ys[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            quot = fx[:, None] - fy[None, :]
-            quot /= dx
-        quot[dx == 0.0] = 0.0
-        return np.clip(quot, -f.lip, f.lip, out=quot)
-
-    return rows
-
-
-def _extremes(values: np.ndarray) -> np.ndarray:
-    """[min, max] of values (NaN if any is), or no entry for no values."""
-    return np.r_[values.min(), values.max()] if values.size else values
+            block = fx[rows, None] - fy[None, :]
+            block /= dx
+        block[dx == 0.0] = 0.0
+        del dx
+        yield rows, np.clip(block, -f.lip, f.lip, out=block)
+        del block
 
 
 def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarray:

@@ -59,7 +59,7 @@ def singular_spectrum(m) -> np.ndarray:
 def schatten_norm(s, p: float) -> float:
     """(sum s_j^p)^(1/p); p = 1 trace norm, p = 2 Hilbert-Schmidt."""
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValidationError(f"schatten_norm requires p >= 1, got {p}")
     spec = as_spectrum(s)
     if spec.size == 0 or spec[0] == 0.0:

@@ -1,4 +1,4 @@
-"""Dense real matrix kernels: symmetric eigendecomposition, SVD, matrix files.
+"""Dense real matrix kernels: symmetric eigendecomposition, SVD, row blocks, matrix files.
 
 Everything here is a pure function of float64 arrays.  Results are
 deterministic for identical inputs (same LAPACK build), and every
@@ -22,6 +22,9 @@ ORTHONORMALITY_TOL = 1e-12
 EIG_RESIDUAL_TOL = 1e-10
 # Reconstruction residual tolerance for SVD, relative to 1 + ||M||_F.
 SVD_RESIDUAL_TOL = 1e-9
+# Entries per row block of the dense kernel passes: a block and its temporaries
+# stay in L2 cache (2**15 ran the certificate residual 2x faster than 2**17).
+BLOCK_ELEMENTS = 1 << 15
 
 
 def as_matrix(a) -> np.ndarray:
@@ -52,6 +55,12 @@ def as_symmetric(a) -> np.ndarray:
     if not np.all(np.isfinite(sym)):
         raise ValidationError("symmetrizing the matrix exceeds the float range")
     return sym
+
+
+def row_blocks(rows: int, cols: int):
+    """Consecutive row slices of a rows x cols matrix, each about BLOCK_ELEMENTS entries."""
+    step = max(1, BLOCK_ELEMENTS // max(1, cols))
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
 
 
 def frobenius(a) -> float:

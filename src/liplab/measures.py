@@ -22,12 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, float_rows, parse_json, read_lines, write_text
-from .functions import LipschitzFunction, function_from_spec, loewner_rows
+from .functions import LipschitzFunction, function_from_spec, loewner_blocks
 from .linalg import frobenius
-
-# Entries per row block of the dense kernel passes: a block and its temporaries
-# stay in L2 cache (2**15 ran the certificate residual 2x faster than 2**17).
-BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,31 +117,24 @@ def kernel_operator(x_positions, x_masses, phi, y_positions, y_masses, psi,
     )
 
 
-def row_blocks(rows: int, cols: int):
-    """Consecutive row slices of a rows x cols matrix, each about BLOCK_ELEMENTS entries."""
-    step = max(1, BLOCK_ELEMENTS // max(1, cols))
-    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
-
-
 def materialize(kop: WeightedKernelOperator) -> np.ndarray:
     """Matrix of the operator between the orthonormal atom bases.
 
-    Built in row blocks, so the only full-size array is the result.  Raises
-    loewner_matrix's ValidationError where an entry could be NaN, and one naming
-    the row block where an entry is beyond the float range (checked, not warned).
-    f is evaluated at the NU atoms once, and at each block's MU atoms.
+    Built from the Loewner blocks of loewner_blocks, so the only full-size
+    array is the result, and f is evaluated at each atom once.  Raises
+    loewner_blocks' ValidationError where an entry could be NaN, and one
+    naming the first row with an entry beyond the float range (checked, not
+    warned); neither depends on the block size.
     """
     left = kop.mu.coordinates(kop.phi)
     right = kop.nu.coordinates(kop.psi)
     out = np.empty((kop.mu.size, kop.nu.size))
-    loewner = loewner_rows(kop.f, kop.nu.positions)
-    for rows in row_blocks(*out.shape):
-        dd = loewner(kop.mu.positions[rows])
+    for rows, dd in loewner_blocks(kop.f, kop.mu.positions, kop.nu.positions):
         with np.errstate(over="ignore", invalid="ignore"):
             out[rows] = left[rows, None] * dd * right[None, :]
         if not np.all(np.isfinite(out[rows])):
-            raise ValidationError(f"an operator entry in rows {rows.start}-{rows.stop - 1} "
-                                  "exceeds the float range")
+            row = rows.start + np.argwhere(~np.isfinite(out[rows]))[0, 0]
+            raise ValidationError(f"an operator entry in row {row} exceeds the float range")
     return out
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -643,3 +645,18 @@ def test_sweep_summary_to_stdout(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert "max_per_dimension" in payload
+
+
+def test_importing_the_cli_loads_no_pool_or_random_module():
+    # The benchmark subtracts a pass's RSS after set-up, so a module that
+    # import liplab pulls in would move its peak_rss_mib with no peak lower.
+    # A fresh interpreter, so modules this process has loaded cannot hide one.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(sweeps.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, liplab.cli; print(' '.join(m for m in sys.argv[1:] "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, "numpy.random", "numpy.ma",
+                           "concurrent.futures", "multiprocessing"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

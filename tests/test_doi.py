@@ -92,6 +92,7 @@ def test_eigenbasis_product_has_the_singular_values_of_doi_apply():
 
 
 def test_eigenbasis_product_evaluates_f_once_per_eigenvalue():
+    # f at each spectrum once per call, over all row blocks.
     sizes = []
     f = LipschitzFunction("abs", lambda x: sizes.append(x.size) or np.abs(x), 1.0)
     rng = make_rng(42)
@@ -111,8 +112,8 @@ def test_eigenbasis_product_rejects_a_mismatched_x():
 
 
 def test_s2_guard_catches_a_loewner_matrix_beyond_lip(monkeypatch):
-    monkeypatch.setattr(doi, "loewner_rows",
-                        lambda f, ys: lambda xs: np.full((len(xs), len(ys)), 2.0 * f.lip))
+    monkeypatch.setattr(doi, "loewner_blocks", lambda f, xs, ys: [
+        (slice(0, len(xs)), np.full((len(xs), len(ys)), 2.0 * f.lip))])
     rng = make_rng(25)
     f = absolute_value()
     a = random_symmetric(rng, 6)

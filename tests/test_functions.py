@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from liplab import linalg
 from liplab.errors import ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
                               clamp_function, constant_function, default_suite,
-                              function_from_spec, identity_function, loewner_matrix, loewner_rows,
+                              function_from_spec, identity_function, loewner_blocks, loewner_matrix,
                               piecewise_linear, shifted_absolute, smooth_ramp)
 from liplab.linalg import eigh_symmetric, frobenius
 from liplab.rng import make_rng, random_symmetric
@@ -143,33 +144,38 @@ def test_non_finite_values_raise_without_a_warning():
     np.testing.assert_array_equal(f.at([1.0, 2.0], "x ="), f([1.0, 2.0]))
 
 
-def test_loewner_rows_evaluate_f_at_the_columns_once():
+def test_loewner_blocks_evaluate_f_once_at_the_rows_and_once_at_the_columns(monkeypatch):
     rng = make_rng(40)
     xs, ys = rng.uniform(-3.0, 3.0, 50), rng.uniform(-3.0, 3.0, 40)
+    monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", 17 * ys.size)
     for f in default_suite():
         sizes = []
         counted = LipschitzFunction(f.name, lambda x, _f=f: sizes.append(x.size) or _f.eval(x),
                                     f.lip)
-        rows = loewner_rows(counted, ys)
-        for block in (slice(0, 17), slice(17, 34), slice(34, 50)):
-            np.testing.assert_array_equal(rows(xs[block]), loewner_matrix(f, xs[block], ys))
-        assert sizes == [17, 40, 17, 16]
+        blocks = list(loewner_blocks(counted, xs, ys))
+        assert [rows for rows, _ in blocks] == [slice(0, 17), slice(17, 34), slice(34, 50)]
+        for rows, block in blocks:
+            np.testing.assert_array_equal(block, loewner_matrix(f, xs[rows], ys))
+        assert sizes == [50, 40]
 
 
-def test_loewner_rows_keep_the_rule_of_loewner_matrix():
+def test_loewner_blocks_keep_the_rule_of_loewner_matrix():
     # A bad row atom is named before a bad column atom, as on the concatenated atoms.
     hole = LipschitzFunction("hole", lambda x: np.where(x > 5.0, np.nan, x), 1.0)
-    rows = loewner_rows(hole, [1.0, 7.0])
     with pytest.raises(ValidationError, match="hole is non-finite at an atom 6.0"):
-        rows([0.0, 6.0])
+        next(loewner_blocks(hole, [0.0, 6.0], [1.0, 7.0]))
     with pytest.raises(ValidationError, match="hole is non-finite at an atom 7.0"):
-        rows([0.0])
+        next(loewner_blocks(hole, [0.0], [1.0, 7.0]))
     # The spread checks span rows and columns; inf - inf raises without a warning.
     with pytest.raises(ValidationError, match="spread beyond the float range"):
-        loewner_rows(identity_function(), [0.0, -1e308])([1e308])
+        next(loewner_blocks(identity_function(), [1e308], [0.0, -1e308]))
     with pytest.raises(ValidationError, match="spread beyond the float range"):
         loewner_matrix(clamp_function(), [np.inf], [np.inf])
-    assert loewner_rows(absolute_value(), [1.0, 2.0])([]).shape == (0, 2)
+    # With no rows there is no block, but the rule still covers the columns.
+    assert list(loewner_blocks(absolute_value(), [], [1.0, 2.0])) == []
+    assert loewner_matrix(absolute_value(), [], [1.0, 2.0]).shape == (0, 2)
+    with pytest.raises(ValidationError, match="hole is non-finite at an atom 7.0"):
+        list(loewner_blocks(hole, [], [7.0]))
 
 
 def test_pwl_construction():
@@ -224,6 +230,18 @@ def test_function_from_spec_errors():
 def test_smooth_ramp_validation():
     with pytest.raises(ValidationError):
         smooth_ramp(0.0)
+
+
+@pytest.mark.parametrize("build", [lambda v: smooth_ramp(v), lambda v: shifted_absolute(v),
+                                   lambda v: constant_function(v),
+                                   lambda v: piecewise_linear([v], 1),
+                                   lambda v: piecewise_linear([0.0, v], 1),
+                                   lambda v: piecewise_linear([0.0], v)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite_parameters(build, value):
+    # Each would otherwise build a function that is NaN or inf everywhere.
+    with pytest.raises(ValidationError, match="has the wrong type or value"):
+        build(value)
 
 
 def test_shifted_absolute():

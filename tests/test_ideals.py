@@ -35,6 +35,12 @@ def test_schatten_rejects_p_below_one():
         schatten_norm([1.0], 0.5)
 
 
+def test_schatten_rejects_a_nan_p_and_takes_inf_as_the_largest_value():
+    with pytest.raises(ValidationError, match="p >= 1"):
+        schatten_norm([1.0, 0.5], float("nan"))
+    assert schatten_norm([1.0, 0.5], float("inf")) == 1.0
+
+
 def test_weak_s1_examples():
     harmonic = 1.0 / (1.0 + np.arange(100.0))
     assert weak_s1_quasinorm(harmonic) == pytest.approx(1.0, rel=1e-14)

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from liplab import linalg
 from liplab.certificate import normalize
+from liplab.doi import eigenbasis_product
 from liplab.errors import ValidationError
 from liplab.functions import LipschitzFunction, absolute_value, constant_function
+from liplab.linalg import frobenius, row_blocks
 from liplab.measures import (DiscreteMeasure, WeightedKernelOperator, kernel_operator,
-                             materialize, read_kernel_operator, row_blocks,
-                             write_kernel_operator)
+                             materialize, read_kernel_operator, write_kernel_operator)
 from liplab.rng import make_rng, random_kernel_operator
 
 
@@ -68,7 +70,7 @@ def test_norms_at_any_weight_scale(weights):
 def test_materialize_rejects_an_entry_beyond_the_float_range():
     kop = kernel_operator([0.0, 1.0], [1.0, 1.0], [1.0, 1e200], [2.0], [1.0], [1e200],
                           absolute_value())
-    with pytest.raises(ValidationError, match="rows 0-1 exceeds the float range"):
+    with pytest.raises(ValidationError, match="row 1 exceeds the float range"):
         materialize(kop)
     # weight * sqrt(mass) itself overflows; the entry would be inf * 0 = NaN.
     kop = kernel_operator([0.0], [1e300], [1e300], [0.0], [1.0], [1.0], absolute_value())
@@ -77,7 +79,7 @@ def test_materialize_rejects_an_entry_beyond_the_float_range():
 
 
 def test_materialize_evaluates_f_once_per_atom():
-    # f at the NU atoms once per call, and at each row block's MU atoms.
+    # f at the MU atoms once and at the NU atoms once per call, over all row blocks.
     sizes = []
     f = LipschitzFunction("abs", lambda x: sizes.append(x.size) or np.abs(x), 1.0)
     kop = random_kernel_operator(make_rng(41), f, 400, 300)
@@ -85,6 +87,49 @@ def test_materialize_evaluates_f_once_per_atom():
     assert len(row_blocks(400, 300)) > 1
     assert sum(sizes) == 400 + 300
     np.testing.assert_array_equal(m, materialize(dataclasses.replace(kop, f=absolute_value())))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7])
+@pytest.mark.parametrize("cols", [0, 1, linalg.BLOCK_ELEMENTS, linalg.BLOCK_ELEMENTS + 1])
+def test_row_blocks_cover_each_row_once_in_order(rows, cols):
+    assert [i for block in row_blocks(rows, cols) for i in range(rows)[block]] == list(range(rows))
+
+
+def _bits_or_message(call):
+    try:
+        return call().tobytes()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_block_size_changes_no_bit_and_no_decision(monkeypatch):
+    # MU atoms at +-9e307 spread beyond the float range whatever the NU atoms;
+    # with one row per block, no single block shows it.
+    k = 20000
+    far = kernel_operator([-9e307, 9e307], [1.0, 1.0], [1e-300, 1e-300],
+                          np.linspace(-1.0, 1.0, k), np.full(k, 1.0 / k), np.ones(k),
+                          absolute_value())
+    spread = "atoms or their abs values spread beyond the float range"
+    # Row 3 is the first with an entry beyond the float range: 1e200 * 1 * 1e200.
+    huge = kernel_operator(np.arange(5.0), np.ones(5), [1.0, 1.0, 1.0, 1e200, 1e200],
+                           [2.0, 3.0], [1.0, 1.0], [1e200, 1.0], absolute_value())
+    rng = make_rng(43)
+    plain = random_kernel_operator(rng, absolute_value(), 40, 30)
+    overflow = "an operator entry in row 3 exceeds the float range"
+    for kop, materialized, product in ((plain, None, None), (huge, overflow, None),
+                                       (far, spread, spread)):
+        # eigenbasis_product takes the same atoms as the two spectra.
+        x = rng.standard_normal((kop.mu.size, kop.nu.size))
+        for call, message in ((lambda: materialize(kop), materialized),
+                              (lambda: eigenbasis_product(kop.f, kop.mu.positions,
+                                                          kop.nu.positions, x.copy(),
+                                                          frobenius(x)), product)):
+            outcomes = []
+            for elements in (1, 17 * kop.nu.size, 1 << 30):
+                monkeypatch.setattr(linalg, "BLOCK_ELEMENTS", elements)
+                outcomes.append(_bits_or_message(call))
+            assert outcomes == [outcomes[0]] * 3
+            assert outcomes[0] == message if message else isinstance(outcomes[0], bytes)
 
 
 def test_materialize_constant_function_is_zero():
