@@ -110,8 +110,8 @@ def f_delta(f: LipschitzFunction, a, b) -> np.ndarray:
 
 
 def bs_residual_bound(a, b, lip: float) -> float:
-    """Contract threshold for the identity residual; ValidationError beyond the float range."""
-    bound = BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip)
+    """The identity residual's contract, 0.0 at lip = 0; ValidationError beyond the float range."""
+    bound = BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip) if lip else 0.0
     if not math.isfinite(bound):
         raise ValidationError("the Birman-Solomyak contract exceeds the float range")
     return bound

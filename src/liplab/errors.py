@@ -1,7 +1,8 @@
-"""Exception types, the check of JSON input values, and every file access (text files as
-nonblank lines and rows of floats): reads and writes map failures to ValidationError.
+"""Exception types, the checks of JSON input values and fields, and every file access (text
+files as nonblank lines and rows of floats): reads and writes map failures to ValidationError.
 """
 
+import inspect
 import json
 import numbers
 import reprlib
@@ -31,6 +32,17 @@ def checked(value, kind, where: str):
           and abs(value) <= (2 ** 63 - 1 if kind is int else sys.float_info.max)):
         return kind(value)
     raise ValidationError(f"{where} has the wrong type or value: {reprlib.repr(value)}")
+
+
+def constructed(build, fields: dict, where: str):
+    """build(**fields); ValidationError names where, each unknown and each missing field."""
+    params = inspect.signature(build).parameters
+    unknown = [name for name in fields if name not in params]
+    missing = [name for name, p in params.items() if p.default is p.empty and name not in fields]
+    if unknown or missing:
+        raise ValidationError(f"{where}: unknown fields {reprlib.repr(unknown)}, "
+                              f"missing fields {reprlib.repr(missing)}")
+    return build(**fields)
 
 
 def checked_integers(values, least: int, where: str) -> tuple:

@@ -9,12 +9,13 @@ floating-point error, since the exact value always lies in that range).
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, checked
+from .errors import ValidationError, checked, constructed
 from .linalg import SpectralDecomposition, row_blocks
 
 
@@ -84,7 +85,7 @@ def identity_function() -> LipschitzFunction:
     return LipschitzFunction("identity", lambda x: x, 1.0, {"kind": "identity"})
 
 
-def constant_function(c: float) -> LipschitzFunction:
+def constant_function(c: float = 0.0) -> LipschitzFunction:
     c = checked(c, float, "constant c")
     return LipschitzFunction(
         f"const({c!r})",
@@ -101,10 +102,11 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
     unbounded ones) is drawn from a Philox stream keyed by the seed, so the
     function is reproducible across runs.  f(breakpoints[0]) = 0.
     """
-    nodes = np.asarray(breakpoints, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 1:
+    if isinstance(breakpoints, np.ndarray):
+        breakpoints = breakpoints.tolist()
+    nodes = np.array(checked(breakpoints, [float], "pwl breakpoints"), dtype=float)  # each finite
+    if nodes.size < 1:
         raise ValidationError("piecewise_linear needs at least one breakpoint")
-    checked(nodes.tolist(), [float], "pwl breakpoints")  # each finite
     seed = checked(seed, int, "pwl seed")
     if not np.all(nodes[1:] > nodes[:-1]):  # no subtraction: it overflows at +-1e308
         raise ValidationError("breakpoints must be strictly increasing")
@@ -131,28 +133,22 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
 
 
 _KINDS = {
-    "abs": lambda spec: absolute_value(),
-    "shifted_abs": lambda spec: shifted_absolute(spec["t"]),
-    "clamp": lambda spec: clamp_function(),
-    "pwl": lambda spec: piecewise_linear(checked(spec["breakpoints"], [float], "pwl breakpoints"),
-                                         spec["seed"]),
-    "smooth_ramp": lambda spec: smooth_ramp(spec.get("delta", 0.1)),
-    "identity": lambda spec: identity_function(),
-    "constant": lambda spec: constant_function(spec.get("c", 0.0)),
+    "abs": absolute_value,
+    "shifted_abs": shifted_absolute,
+    "clamp": clamp_function,
+    "pwl": piecewise_linear,
+    "smooth_ramp": smooth_ramp,
+    "identity": identity_function,
+    "constant": constant_function,
 }
 
 
 def function_from_spec(spec: dict) -> LipschitzFunction:
-    """Build a suite function from its config dictionary ({"kind": ..., ...})."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError(f"function spec must be a dict with a 'kind': {spec!r}")
-    kind = spec["kind"]
-    if kind not in _KINDS:
-        raise ValidationError(f"unknown function kind {kind!r}; known: {sorted(_KINDS)}")
-    try:
-        return _KINDS[kind](spec)
-    except KeyError as exc:
-        raise ValidationError(f"function spec {spec!r} is missing field {exc}") from exc
+    """f of a JSON spec: "kind" names its constructor in _KINDS, the other fields its arguments."""
+    kind = checked(spec, dict, "function spec").get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError(f"function spec kind {reprlib.repr(kind)} not in {sorted(_KINDS)}")
+    return constructed(_KINDS[kind], {k: v for k, v in spec.items() if k != "kind"}, f"{kind} spec")
 
 
 def default_suite() -> list[LipschitzFunction]:
@@ -163,7 +159,7 @@ def default_suite() -> list[LipschitzFunction]:
         shifted_absolute(0.3),
         clamp_function(),
         piecewise_linear(grid, 7),
-        smooth_ramp(0.1),
+        smooth_ramp(),
     ]
 
 

@@ -20,7 +20,7 @@ turns into exit 3, also when a worker raised it.
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -28,7 +28,8 @@ import numpy as np
 
 from .certificate import certify
 from .doi import birman_solomyak_delta, eigenbasis_product, rank_one_perturb
-from .errors import ValidationError, checked, checked_integers, json_text, read_json, write_text
+from .errors import (ValidationError, checked, checked_integers, constructed, json_text,
+                     read_json, write_text)
 from .functions import LipschitzFunction, function_from_spec
 from .ideals import (schatten_norm, singular_spectrum, singular_value_at, s_Omega_norm,
                      s_omega_norm, weak_s1_quasinorm)
@@ -87,18 +88,9 @@ class SweepConfig:
 
 
 def load_config(source) -> SweepConfig:
-    """Build a SweepConfig from a dict or a JSON file path."""
-    if isinstance(source, dict):
-        data = dict(source)
-    else:
-        data = checked(read_json(source, "config"), dict, f"config {source}")
-    unknown = set(data) - {f.name for f in fields(SweepConfig)}
-    if unknown:
-        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    missing = {f.name for f in fields(SweepConfig) if f.default is MISSING} - set(data)
-    if missing:
-        raise ValidationError(f"config is missing required fields: {sorted(missing)}")
-    return SweepConfig(**data)
+    """A SweepConfig from a dict or a JSON file path; errors.constructed checks its fields."""
+    data = source if isinstance(source, dict) else read_json(source, "config")
+    return constructed(SweepConfig, checked(data, dict, f"config {source}"), "config")
 
 
 @dataclass

@@ -148,6 +148,8 @@ def test_mask_validates_indices():
     kop = random_kernel_operator(rng, absolute_value(), 5, 5)
     with pytest.raises(ValidationError):
         mask(kop, [7], [])
+    with pytest.raises(ValidationError, match="heavy_y"):
+        mask(kop, [], [7])
 
 
 # ---------------------------------------------------------------- partition
@@ -212,6 +214,10 @@ def test_partition_invariant_validation():
         IntervalPartition(np.array([0.0, 1.0]), np.array([5.0]), np.array([0.0]), 2)
     with pytest.raises(ValidationError):
         IntervalPartition(np.array([0.0, 0.5, 1.0]), np.zeros(2), np.zeros(2), 1)
+    with pytest.raises(ValidationError, match="at least two entries"):
+        IntervalPartition(np.array([0.0]), np.zeros(0), np.zeros(0), 1)
+    with pytest.raises(ValidationError, match="must match the interval count"):
+        IntervalPartition(np.array([0.0, 1.0]), np.zeros(2), np.zeros(1), 2)
 
 
 # ------------------------------------------------------------- split_blocks
@@ -425,6 +431,13 @@ def test_certificate_rejects_bad_n():
     kop = random_kernel_operator(rng, absolute_value(), 5, 5)
     with pytest.raises(ValidationError):
         build_certificate(kop, 0)
+    # The stages check their own arguments, called on their own.
+    with pytest.raises(ValidationError, match="n must be"):
+        heavy_atoms(kop.mu, kop.phi, 0)
+    with pytest.raises(ValidationError, match="n must be"):
+        partition(kop, 0, kop.support_radius)
+    with pytest.raises(ValidationError, match="one value per atom"):
+        heavy_atoms(kop.mu, kop.phi[:-1], 2)
 
 
 def test_certificate_rejects_overflowing_spread():

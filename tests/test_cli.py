@@ -86,6 +86,17 @@ def test_validation_exit_codes(matrices, capsys):
         (matrices / "bad.txt").write_text(text)
         assert main(["fdelta", "--function", '{"kind": "abs"}',
                      str(matrices / "bad.txt"), str(matrices / "B.txt")]) == 2
+    # A 1 x 1 A against a 2 x 2 B.
+    write_matrix(matrices / "one.txt", np.zeros((1, 1)))
+    for command in ("fdelta", "bscheck"):
+        assert main([command, "--function", '{"kind": "abs"}',
+                     str(matrices / "one.txt"), str(matrices / "B.txt")]) == 2
+    # lip * ||T||_F, the S2 bound, is beyond the float range.
+    write_matrix(matrices / "huge.txt", np.full((1, 1), 1.7976931348623157e308))
+    assert main(["doi", "--function", '{"kind": "abs"}', str(matrices / "one.txt"),
+                 str(matrices / "one.txt"), str(matrices / "huge.txt")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: lip * ||T||_F exceeds the float range")
 
 
 def test_certify(tmp_path, capsys):
@@ -361,10 +372,15 @@ def test_certify_rejects_a_repeated_section(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: operator file {path}: repeated MU section\n"
 
 
-def test_bscheck_applies_no_contract_at_lip_0(tmp_path, capsys):
+@pytest.mark.parametrize("a, b", [
+    ([[1.0, 0.5], [0.5, -1.0]], [[0.0, 0.3], [0.3, 2.0]]),
+    # 1 + ||A||_F + ||B||_F overflows, but no contract is formed at lip = 0.
+    (np.diag([8e307, 8e307]), np.diag([8e307, 8e307])),
+], ids=["small", "norms-beyond-float-range"])
+def test_bscheck_applies_no_contract_at_lip_0(tmp_path, capsys, a, b):
     # f(A) - f(B) and the DOI are both 0 here; the residual is only frame rounding.
-    write_matrix(tmp_path / "A.txt", np.array([[1.0, 0.5], [0.5, -1.0]]))
-    write_matrix(tmp_path / "B.txt", np.array([[0.0, 0.3], [0.3, 2.0]]))
+    write_matrix(tmp_path / "A.txt", np.array(a))
+    write_matrix(tmp_path / "B.txt", np.array(b))
     assert main(["bscheck", "--function", '{"kind": "constant", "c": 1}',
                  str(tmp_path / "A.txt"), str(tmp_path / "B.txt")]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -398,10 +414,36 @@ def test_unwritable_matrix_output_exits_2(matrices):
     '{"kind": "shifted_abs", "t": Infinity}',
     '{"kind": "constant", "c": -Infinity}',
     '{"kind": "shifted_abs", "t": null}',
+    # A kind that is not a string, and a field the kind's constructor does not take.
+    '{"kind": ["abs"]}',
+    '{"kind": {"abs": 1}}',
+    '{"kind": "smooth_ramp", "delat": 0.5}',
+    '{"kind": "abs", "t": 3}',
+    '{"kind": "shifted_abs", "t": 3, "seed": 1}',
+    # Breakpoints that are not a list of numbers, checked inside piecewise_linear.
+    '{"kind": "pwl", "breakpoints": "ab", "seed": 1}',
+    '{"kind": "pwl", "breakpoints": [[0], [1, 2]], "seed": 1}',
 ])
-def test_bad_function_parameters_exit_2(matrices, spec):
-    assert main(["fdelta", "--function", spec,
-                 str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
+def test_bad_function_parameters_exit_2(matrices, capsys, spec):
+    # Inline, in a file, as an operator file's FUNCTION line and as a sweep
+    # config's function: one error line naming a field or the kind, and no report.
+    parsed = json.loads(spec)
+    (matrices / "f.json").write_text(spec)
+    (matrices / "kop.txt").write_text(f"MU\n0.0 1.0 1.0\nNU\n1.0 1.0 1.0\nFUNCTION\n{spec}\n")
+    (matrices / "cfg.json").write_text(json.dumps({"experiment": "rank_one", "dimensions": [4],
+                                                   "ensemble": 1, "seed": 1, "function": parsed}))
+    names = [name for name in parsed if name != "kind"] + [repr(parsed["kind"])]
+    pair = [str(matrices / "A.txt"), str(matrices / "B.txt")]
+    for argv in (["fdelta", "--function", spec, *pair],
+                 ["doi", "--function", str(matrices / "f.json"), *pair, str(matrices / "T.txt")],
+                 ["certify", "--input", str(matrices / "kop.txt"), "--n", "2"],
+                 ["sweep", "--config", str(matrices / "cfg.json")]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert any(name in lines[0] for name in names), lines[0]
 
 
 def test_function_non_finite_at_data_exits_2(matrices, monkeypatch):
@@ -446,7 +488,7 @@ def test_pwl_node_values_beyond_float_range_exit_2(matrices, capsys):
 
 
 _NUMBERS = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False)
-_FUNCTIONS = st.one_of(
+_SPECS = st.one_of(
     st.sampled_from([{"kind": k} for k in ("abs", "clamp", "identity", "smooth_ramp",
                                            "constant")]),
     st.builds(lambda t: {"kind": "shifted_abs", "t": t}, _NUMBERS),
@@ -455,6 +497,15 @@ _FUNCTIONS = st.one_of(
     st.builds(lambda b, seed: {"kind": "pwl", "breakpoints": b, "seed": seed},
               st.lists(_NUMBERS, min_size=1, max_size=5),
               st.integers(-2 ** 63 + 1, 2 ** 63 - 1)),
+)
+# Valid specs, and malformed ones: a kind that is not a known name, or one field too many.
+_FUNCTIONS = st.one_of(
+    _SPECS,
+    st.builds(lambda kind: {"kind": kind},
+              st.one_of(st.lists(st.just("abs"), max_size=2), st.just({"abs": 1}), _NUMBERS,
+                        st.none(), st.text(max_size=5))),
+    st.tuples(_SPECS, st.text(max_size=5), _NUMBERS).filter(lambda t: t[1] not in t[0]).map(
+        lambda t: {**t[0], t[1]: t[2]}),
 )
 
 
@@ -537,6 +588,14 @@ _NOT_UTF8 = b"\xff\xfe"
                       b'FUNCTION\n{"kind": "abs"}\n'}))
 @example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _NOT_UTF8 + b"{}"}))
 @example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": "[" * 100_000}))  # too deep
+# A kind that is not a string, in each kind of file that holds a spec.
+@example((["fdelta", "--function", "{dir}/f.json", "{dir}/A.txt", "{dir}/B.txt"],
+          {"f.json": '{"kind": ["abs"]}', "A.txt": "1 1\n0.5\n", "B.txt": "1 1\n2.0\n"}))
+@example((["certify", "--input", "{dir}/kop.txt", "--n", "2"],
+          {"kop.txt": 'MU\n0.5 1.0 1.0\nNU\n-1.0 1.0 1.0\nFUNCTION\n{"kind": ["abs"]}\n'}))
+@example((["sweep", "--config", "{dir}/cfg.json"],
+          {"cfg.json": '{"experiment": "rank_one", "dimensions": [2], "ensemble": 1, "seed": 1, '
+                       '"function": {"kind": ["abs"]}}'}))
 @example((["fdelta", "--function", '{"kind": "abs"}', "{dir}/A.txt", "{dir}/B.txt"],
           {"A.txt": "1 10000000000000\n0.5\n", "B.txt": "1 1\n2.0\n"}))
 @example((["doi", "--function", '{"kind": "pwl", "breakpoints": [1e308], "seed": 1}',

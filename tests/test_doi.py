@@ -250,6 +250,18 @@ def test_rank_one_perturb_examples():
     np.testing.assert_allclose(got, np.diag([3.0, 0.0, 0.0]))
     with pytest.raises(ValidationError):
         rank_one_perturb(a, np.zeros(4), 1.0)
+    with pytest.raises(ValidationError, match="u must have length 4"):
+        rank_one_perturb(a, np.ones(3), 1.0)
+
+
+def test_bs_residual_bound_at_any_scale():
+    a = np.array([[1.0, 0.5], [0.5, -1.0]])
+    assert bs_residual_bound(a, -a, 1.0) == 1e-8 * (1.0 + frobenius(a) + frobenius(-a))
+    # ||A||_F + ||B||_F overflows: no contract at lip = 0, none in the float range at lip = 1.
+    big = np.diag([1e308, 1e308])
+    assert bs_residual_bound(big, big, 0.0) == 0.0
+    with pytest.raises(ValidationError, match="contract exceeds the float range"):
+        bs_residual_bound(big, big, 1.0)
 
 
 def test_rank_one_trace_norm():

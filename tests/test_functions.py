@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liplab import linalg
 from liplab.errors import ValidationError
@@ -208,6 +212,10 @@ def test_pwl_validation():
     # The gap between the breakpoints, and so the second node value, overflows.
     with pytest.raises(ValidationError, match="float range"):
         piecewise_linear([-1e308, 1e308], 1)
+    # Breakpoints that are not a list of numbers, from Python as from a spec.
+    for breakpoints in ("ab", {"a": 1}, [[0], [1, 2]], np.zeros((2, 2)), None):
+        with pytest.raises(ValidationError, match="pwl breakpoints has the wrong type"):
+            piecewise_linear(breakpoints, 1)
 
 
 def test_function_from_spec_roundtrip():
@@ -223,8 +231,45 @@ def test_function_from_spec_errors():
         function_from_spec({"kind": "nope"})
     with pytest.raises(ValidationError):
         function_from_spec({"no_kind": 1})
-    with pytest.raises(ValidationError):
-        function_from_spec({"kind": "shifted_abs"})  # missing t
+    with pytest.raises(ValidationError, match="missing fields \\['t'\\]"):
+        function_from_spec({"kind": "shifted_abs"})
+    for kind in (["abs"], {"abs": 1}, 1, None):
+        with pytest.raises(ValidationError, match="function spec kind"):
+            function_from_spec({"kind": kind})
+    with pytest.raises(ValidationError, match="smooth_ramp spec: unknown fields \\['delat'\\]"):
+        function_from_spec({"kind": "smooth_ramp", "delat": 0.5})
+    with pytest.raises(ValidationError, match="pwl spec: unknown fields \\['t'\\], "
+                                              "missing fields \\['seed'\\]"):
+        function_from_spec({"kind": "pwl", "breakpoints": [0.0], "t": 1})
+
+
+def test_function_from_spec_takes_the_constructor_defaults():
+    assert function_from_spec({"kind": "smooth_ramp"}).name == "ramp(d=0.1)"
+    assert function_from_spec({"kind": "constant"}).name == "const(0.0)"
+    assert function_from_spec({"kind": "constant"}).spec == {"kind": "constant", "c": 0.0}
+
+
+# Any JSON value, and dicts with a known kind (or any value as kind) and some known fields.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4),
+                                                                       children, max_size=3),
+    max_leaves=12)
+_KNOWN = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["abs", "shifted_abs", "clamp", "pwl", "smooth_ramp", "identity",
+                              "constant"]) | _JSON},
+    optional={name: _JSON | st.floats() | st.lists(st.floats(), max_size=4)
+              for name in ("t", "breakpoints", "seed", "delta", "c", "x")})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | _KNOWN)
+def test_function_from_spec_returns_a_function_or_raises_validation_error(spec):
+    spec = json.loads(json.dumps(spec))  # as json.loads returns it, NaN and Infinity included
+    try:
+        assert isinstance(function_from_spec(spec), LipschitzFunction)
+    except ValidationError:
+        pass
 
 
 def test_smooth_ramp_validation():

@@ -142,6 +142,8 @@ def test_as_spectrum_validation():
         as_spectrum([1.0, np.nan])
     with pytest.raises(ValidationError):
         as_spectrum([-1.0])
+    with pytest.raises(ValidationError, match="must be 1-D"):
+        as_spectrum(np.ones((2, 2)))
     # Sub-tolerance jitter is repaired, not rejected.
     fixed = as_spectrum([1.0, 1.0 + 1e-12, 0.5])
     assert np.all(np.diff(fixed) <= 0)

@@ -36,6 +36,8 @@ def test_eigh_rejects_bad_input():
         eigh_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         eigh_symmetric(np.ones((2, 3)))
+    with pytest.raises(ValidationError, match="expected a 2-D matrix"):
+        eigh_symmetric(np.ones(3))
 
 
 def test_eigh_lapack_failure_is_convergence_error(monkeypatch):
@@ -74,6 +76,14 @@ def test_svd_contract_fails_closed_on_nan(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda m, full_matrices: (nan, nan[0], nan))
     with pytest.raises(ConvergenceError):
         svd(np.eye(2))
+
+
+def test_svd_rejects_increasing_singular_values(monkeypatch):
+    # An exact factorization of diag(1, 2), with its singular values out of order.
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, full_matrices: (np.eye(2), np.array([1.0, 2.0]), np.eye(2)))
+    with pytest.raises(ConvergenceError, match="not nonincreasing"):
+        svd(np.diag([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("dim", [2, 8, 32])
@@ -228,6 +238,8 @@ def test_spectral_decomposition_rejects_bad_frame():
         SpectralDecomposition(np.array([0.0, 1.0]), np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValidationError):
         SpectralDecomposition(np.array([1.0, 0.0]), np.eye(2))  # descending
+    with pytest.raises(ValidationError, match="shapes are inconsistent"):
+        SpectralDecomposition(np.array([0.0, 1.0, 2.0]), np.eye(2))
 
 
 def test_matrix_io_roundtrip(tmp_path):

@@ -8,7 +8,8 @@ from liplab import linalg
 from liplab.certificate import normalize
 from liplab.doi import eigenbasis_product
 from liplab.errors import ValidationError
-from liplab.functions import LipschitzFunction, absolute_value, constant_function
+from liplab.functions import (LipschitzFunction, absolute_value, clamp_function, constant_function,
+                              identity_function, piecewise_linear, shifted_absolute, smooth_ramp)
 from liplab.linalg import frobenius, row_blocks
 from liplab.measures import (DiscreteMeasure, WeightedKernelOperator, kernel_operator,
                              materialize, read_kernel_operator, write_kernel_operator)
@@ -34,6 +35,8 @@ def test_discrete_measure_validation():
         DiscreteMeasure([0.0, 1.0], [1.0, 0.0])  # nonpositive mass
     with pytest.raises(ValidationError):
         DiscreteMeasure(np.array([1.0, 0.0]), np.array([1.0, 1.0]))  # unsorted
+    with pytest.raises(ValidationError, match="equal length"):
+        DiscreteMeasure([0.0, 1.0], [1.0])
 
 
 def test_kernel_operator_sorts_joint():
@@ -47,6 +50,8 @@ def test_weight_shape_validation():
     mu = DiscreteMeasure([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValidationError):
         WeightedKernelOperator(mu, mu, np.ones(3), np.ones(2), absolute_value())
+    with pytest.raises(ValidationError, match="one value per nu atom"):
+        WeightedKernelOperator(mu, mu, np.ones(2), np.ones(3), absolute_value())
 
 
 def test_norms():
@@ -168,9 +173,15 @@ def test_kernel_entrywise_bound():
     assert np.all(m <= bound * (1 + 1e-12))
 
 
-def test_operator_file_roundtrip(tmp_path):
+@pytest.mark.parametrize("f", [
+    absolute_value(), shifted_absolute(0.3), clamp_function(),
+    piecewise_linear(np.linspace(-2.5, 2.5, 41), 7), smooth_ramp(), identity_function(),
+    constant_function(2.0),
+], ids=lambda f: f.spec["kind"])
+def test_operator_file_roundtrip(tmp_path, f):
+    # Every kind's spec is written, read back and rebuilt into the same spec.
     rng = make_rng(33)
-    kop = random_kernel_operator(rng, absolute_value(), 8, 6)
+    kop = random_kernel_operator(rng, f, 8, 6)
     path = tmp_path / "kop.txt"
     write_kernel_operator(path, kop)
     back = read_kernel_operator(path)
@@ -202,6 +213,23 @@ def test_operator_file_errors(tmp_path):
         read_kernel_operator(path)
     path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 x\nFUNCTION\n{\"kind\": \"abs\"}\n")
     with pytest.raises(ValidationError, match="NU section: bad number in row 0"):
+        read_kernel_operator(path)
+    path.write_text("MU\nnan 1.0 1.0\nNU\n0.0 1.0 1.0\nFUNCTION\n{\"kind\": \"abs\"}\n")
+    with pytest.raises(ValidationError, match="non-finite atoms"):
+        read_kernel_operator(path)
+    path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 inf\nFUNCTION\n{\"kind\": \"abs\"}\n")
+    with pytest.raises(ValidationError, match="weights contain non-finite values"):
+        read_kernel_operator(path)
+    path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 1.0\nFUNCTION\n{\"kind\": \"abs\"}\n"
+                    "{\"kind\": \"clamp\"}\n")
+    with pytest.raises(ValidationError, match="FUNCTION section must be one JSON line"):
+        read_kernel_operator(path)
+    path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 1.0\nFUNCTION\n{\"kind\": [\"abs\"]}\n")
+    with pytest.raises(ValidationError, match="function spec kind"):
+        read_kernel_operator(path)
+    path.write_text("MU\n0.0 1.0 1.0\nNU\n0.0 1.0 1.0\n"
+                    "FUNCTION\n{\"kind\": \"smooth_ramp\", \"delat\": 0.5}\n")
+    with pytest.raises(ValidationError, match="unknown fields \\['delat'\\]"):
         read_kernel_operator(path)
 
 

@@ -50,13 +50,18 @@ def test_config_validation():
         cfg_with(format="xml")
     with pytest.raises(ValidationError):
         cfg_with(n_values=[0])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="'dimensions', 'ensemble', 'seed', 'function'"):
         load_config({"experiment": "rank_one"})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="unknown fields \\['bogus_field'\\]"):
         load_config(dict(BASE, bogus_field=1))
     for bad in ({"dimensions": 5}, {"n_values": 4}, {"ensemble": "x"}, {"seed": "abc"},
                 {"dimensions": [4, None]}, {"experiment": "interp", "p": "x", "epsilon": 0.5},
                 {"out": 1}, {"out": 3.5}, {"emit_curves": "no"},
+                # A function kind that is not a string, and fields no constructor takes.
+                {"function": {"kind": ["abs"]}}, {"function": {"kind": {"abs": 1}}},
+                {"function": {"kind": "smooth_ramp", "delat": 0.5}},
+                {"function": {"kind": "abs", "t": 3}},
+                {"function": {"kind": "shifted_abs", "t": 3, "seed": 1}},
                 # Sizes no instance could allocate, and an ensemble too long to list.
                 {"dimensions": [4, 10 ** 10]}, {"ensemble": 10 ** 10}):
         with pytest.raises(ValidationError):
