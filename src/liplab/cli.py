@@ -29,7 +29,7 @@ EXIT_UNSOUND = 3
 
 
 def _load_function(arg: str):
-    if arg.lstrip().startswith("{"):
+    if arg.lstrip().startswith(("{", "[")):
         return function_from_spec(parse_json(arg, "inline function spec"))
     return function_from_spec(read_json(arg, "function spec"))
 

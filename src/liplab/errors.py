@@ -125,18 +125,15 @@ class SoundnessError(RuntimeError):
     """A computed result broke the bound that vouches for it (an implementation bug).
 
     Carries the observed value and the allowed bound so reports can show both.
+    They are its exception arguments, so the default pickling rebuilds it.
     """
 
     def __init__(self, message: str, observed: float, allowed: float):
-        super().__init__(f"{message}: observed {observed!r} exceeds allowed {allowed!r}")
-        self.message = message
-        self.observed = observed
-        self.allowed = allowed
+        super().__init__(message, observed, allowed)
+        self.message, self.observed, self.allowed = message, observed, allowed
 
-    def __reduce__(self):
-        # A sweep worker sends the error to its parent pickled; the default
-        # reduction would call cls(str(self)) and miss two arguments.
-        return type(self), (self.message, self.observed, self.allowed)
+    def __str__(self):
+        return f"{self.message}: observed {self.observed!r} exceeds allowed {self.allowed!r}"
 
     @classmethod
     def require(cls, message: str, observed: float, allowed: float) -> None:

@@ -5,12 +5,15 @@ seminorm: |f(x) - f(y)| <= lip * |x - y| for all reals.  The divided
 difference (f(x) - f(y)) / (x - y) is taken to be 0 on the diagonal x = y,
 and computed values are clamped to [-lip, lip] (the clamp can only shrink
 floating-point error, since the exact value always lies in that range).
+Each kind's rule is a module-level function or a numpy callable, bound to its
+parameters with functools.partial, so every LipschitzFunction built here pickles.
 """
 
 from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -43,56 +46,60 @@ class LipschitzFunction:
 
     def rescaled(self, factor: float) -> "LipschitzFunction":
         """factor * f, with the seminorm scaled by |factor|; it has no spec to write to a file."""
-        base = self.eval
-        return LipschitzFunction(
-            name=f"{factor!r}*{self.name}",
-            eval=lambda x, _b=base, _c=float(factor): _c * _b(x),
-            lip=abs(float(factor)) * self.lip,
-        )
+        c = float(factor)
+        return LipschitzFunction(f"{factor!r}*{self.name}", partial(_scaled, c, self.eval),
+                                 abs(c) * self.lip)
+
+
+def _scaled(c, base, x):
+    return c * base(x)
 
 
 def absolute_value() -> LipschitzFunction:
     return LipschitzFunction("abs", np.abs, 1.0, {"kind": "abs"})
 
 
+def _shifted_abs(t, x):
+    return np.abs(x - t)
+
+
 def shifted_absolute(t: float) -> LipschitzFunction:
     t = checked(t, float, "shifted_abs t")
-    return LipschitzFunction(
-        f"abs(x-{t!r})",
-        lambda x, _t=t: np.abs(x - _t),
-        1.0,
-        {"kind": "shifted_abs", "t": t},
-    )
+    return LipschitzFunction(f"abs(x-{t!r})", partial(_shifted_abs, t), 1.0,
+                             {"kind": "shifted_abs", "t": t})
 
 
 def clamp_function() -> LipschitzFunction:
-    return LipschitzFunction("clamp", lambda x: np.clip(x, -1.0, 1.0), 1.0, {"kind": "clamp"})
+    return LipschitzFunction("clamp", partial(np.clip, a_min=-1.0, a_max=1.0), 1.0,
+                             {"kind": "clamp"})
+
+
+def _ramp(d, x):
+    return np.sqrt(x * x + d * d)
 
 
 def smooth_ramp(delta: float = 0.1) -> LipschitzFunction:
     delta = checked(delta, float, "smooth_ramp delta")
     if not delta > 0:
         raise ValidationError("smooth_ramp requires delta > 0")
-    return LipschitzFunction(
-        f"ramp(d={delta!r})",
-        lambda x, _d=delta: np.sqrt(x * x + _d * _d),
-        1.0,
-        {"kind": "smooth_ramp", "delta": delta},
-    )
+    return LipschitzFunction(f"ramp(d={delta!r})", partial(_ramp, delta), 1.0,
+                             {"kind": "smooth_ramp", "delta": delta})
 
 
 def identity_function() -> LipschitzFunction:
-    return LipschitzFunction("identity", lambda x: x, 1.0, {"kind": "identity"})
+    return LipschitzFunction("identity", np.positive, 1.0, {"kind": "identity"})
 
 
 def constant_function(c: float = 0.0) -> LipschitzFunction:
     c = checked(c, float, "constant c")
-    return LipschitzFunction(
-        f"const({c!r})",
-        lambda x, _c=c: np.full_like(np.asarray(x, dtype=float), _c),
-        0.0,
-        {"kind": "constant", "c": c},
-    )
+    return LipschitzFunction(f"const({c!r})", partial(np.full_like, fill_value=c), 0.0,
+                             {"kind": "constant", "c": c})
+
+
+def _pwl(nodes, values, slopes, x):
+    idx = np.searchsorted(nodes, x, side="right")  # segment index in [0, len(nodes)]
+    anchor = np.clip(idx - 1, 0, nodes.size - 1)
+    return values[anchor] + slopes[idx] * (x - nodes[anchor])
 
 
 def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
@@ -117,16 +124,9 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
         values = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(nodes))])
     if not np.all(np.isfinite(values)):
         raise ValidationError("pwl node values exceed the float range")
-
-    def _eval(x, _n=nodes, _v=values, _s=slopes):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(_n, x, side="right")  # segment index in [0, len(nodes)]
-        anchor = np.clip(idx - 1, 0, _n.size - 1)
-        return _v[anchor] + _s[idx] * (x - _n[anchor])
-
     return LipschitzFunction(
         f"pwl(seed={seed})",
-        _eval,
+        partial(_pwl, nodes, values, slopes),
         1.0,
         {"kind": "pwl", "breakpoints": [float(t) for t in nodes], "seed": seed},
     )

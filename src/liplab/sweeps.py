@@ -7,11 +7,12 @@ per-dimension maxima.  Bounded ratios across dimensions are the empirical
 signature of the dimension-free inequalities this package studies.  Identical
 configs (including the seed) produce byte-identical reports.
 
-run_sweep is the only loop.  It pins BLAS to one thread and runs the (size,
-instance) pairs on every available core, in forked worker processes.  An
-experiment is one instance function (rng, f, dim, cfg) -> (row, spectrum),
-whose row keys in order are the report's columns after instance, size and
-function, plus one _EXPERIMENTS entry naming its summary and its size label.
+run_sweep is the only loop.  It builds f once, pins BLAS to one thread and runs
+the (size, instance) pairs on every available core, in forked worker processes
+that get f by value.  An experiment is one instance function
+(rng, f, dim, cfg) -> (row, spectrum), whose row keys in order are the report's
+columns after instance, size and function, plus one _EXPERIMENTS entry naming
+its summary and its size label.
 liplab.doi checks the DOI contracts and liplab.certificate verifies
 certificates; a broken one ends the sweep as a soundness failure, which the CLI
 turns into exit 3, also when a worker raised it.
@@ -303,13 +304,12 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
                             exp.summary(rows, cfg.dimensions), curves)
 
 
-def _instance(cfg: SweepConfig, size: int, idx: int):
+def _instance(cfg: SweepConfig, f: LipschitzFunction, size: int, idx: int):
     """One pair's report row, and its spectrum if the pair draws a decay curve (else None).
 
-    f is rebuilt from cfg.function here because a pwl closure does not pickle.
+    f is the sweep's function, which _run_instances builds once; no pair rebuilds it.
     """
     exp = _EXPERIMENTS[cfg.experiment]
-    f = function_from_spec(cfg.function)
     row, spectrum = exp.instance(make_rng(cfg.seed, _TAG[cfg.experiment], size, idx), f, size, cfg)
     return ({"instance": idx, exp.size: size, "function": f.name, **row},
             spectrum if cfg.emit_curves and idx == 0 else None)
@@ -318,6 +318,7 @@ def _instance(cfg: SweepConfig, size: int, idx: int):
 def _run_instances(cfg: SweepConfig) -> list:
     """_instance of every (size, instance) pair of cfg, sizes outermost.
 
+    f is built from cfg.function once, here, and each pair gets it by value.
     The loaded BLAS is pinned to one thread for the whole sweep, and the
     caller's thread count is restored afterwards.  With more than one pair and
     more than one available core, the pairs run in a pool of forked workers,
@@ -331,6 +332,7 @@ def _run_instances(cfg: SweepConfig) -> list:
     oversubscribe the cores and run slower than this process alone.  Otherwise
     the pairs run here.
     """
+    f = function_from_spec(cfg.function)
     pairs = [(size, idx) for size in cfg.dimensions for idx in range(cfg.ensemble)]
     threads = _openblas_threads()
     workers = 1 if threads is None else min(len(pairs), _cores())
@@ -339,7 +341,7 @@ def _run_instances(cfg: SweepConfig) -> list:
     set_threads(1)
     try:
         if workers == 1:
-            return [_instance(cfg, *pair) for pair in pairs]
+            return [_instance(cfg, f, *pair) for pair in pairs]
         # Imported here: a pool is not needed to import liplab, and they cost import time.
         # numpy.random and ThreadPoolExecutor are not used here: imported before the fork,
         # every worker inherits them instead of loading them on its first instance.
@@ -350,7 +352,7 @@ def _run_instances(cfg: SweepConfig) -> list:
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
         try:
             largest_first = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
-            futures = {i: pool.submit(_instance, cfg, *pairs[i]) for i in largest_first}
+            futures = {i: pool.submit(_instance, cfg, f, *pairs[i]) for i in largest_first}
             return [futures[i].result() for i in range(len(pairs))]
         finally:
             pool.shutdown(cancel_futures=True)

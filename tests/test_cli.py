@@ -74,6 +74,16 @@ def test_function_spec_from_file(matrices):
     assert code == 0
 
 
+@pytest.mark.parametrize("spec, shown", [("[1]", "[1]"), (' ["abs"]', "['abs']")])
+def test_inline_function_spec_that_is_not_an_object_exits_2(matrices, capsys, spec, shown):
+    # Read as inline JSON, like an object, not as a file path.
+    assert main(["fdelta", "--function", spec,
+                 str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: function spec has the wrong type or value: {shown}\n"
+
+
 def test_validation_exit_codes(matrices, capsys):
     assert main(["fdelta", "--function", '{"kind": "wat"}',
                  str(matrices / "A.txt"), str(matrices / "B.txt")]) == 2
@@ -588,6 +598,8 @@ _NOT_UTF8 = b"\xff\xfe"
                       b'FUNCTION\n{"kind": "abs"}\n'}))
 @example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _NOT_UTF8 + b"{}"}))
 @example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": "[" * 100_000}))  # too deep
+@example((["fdelta", "--function", "[1]", "{dir}/A.txt", "{dir}/B.txt"],
+          {"A.txt": "1 1\n0.5\n", "B.txt": "1 1\n2.0\n"}))
 # A kind that is not a string, in each kind of file that holds a spec.
 @example((["fdelta", "--function", "{dir}/f.json", "{dir}/A.txt", "{dir}/B.txt"],
           {"f.json": '{"kind": ["abs"]}', "A.txt": "1 1\n0.5\n", "B.txt": "1 1\n2.0\n"}))

@@ -126,7 +126,7 @@ def test_s2_guard_catches_a_loewner_matrix_beyond_lip(monkeypatch):
         cfg = sweeps.load_config({"experiment": experiment, "dimensions": [6], "ensemble": 1,
                                   "seed": 3, "function": {"kind": "abs"}})
         with pytest.raises(SoundnessError, match="S2"):
-            sweeps._instance(cfg, 6, 0)
+            sweeps._instance(cfg, f, 6, 0)
 
 
 def test_doi_well_defined_under_eigenbasis_rotation():

@@ -1,11 +1,12 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liplab import linalg
+from liplab import functions, linalg
 from liplab.errors import ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
                               clamp_function, constant_function, default_suite,
@@ -224,6 +225,22 @@ def test_function_from_spec_roundtrip():
         x = np.linspace(-4, 4, 50)
         np.testing.assert_array_equal(rebuilt(x), f(x))
         assert rebuilt.lip == f.lip
+
+
+def test_every_function_pickles_with_the_same_values():
+    # A sweep hands its function to its worker processes pickled.
+    fields = {"abs": {}, "shifted_abs": {"t": 0.3}, "clamp": {}, "smooth_ramp": {"delta": 0.25},
+              "identity": {}, "constant": {"c": -2.5},
+              "pwl": {"breakpoints": [-1.5, 0.0, 0.25, 2.0], "seed": 7}}
+    assert sorted(fields) == sorted(functions._KINDS)
+    built = {kind: function_from_spec({"kind": kind, **f}) for kind, f in fields.items()}
+    suite = [*built.values(), built["pwl"].rescaled(-0.5), built["shifted_abs"].rescaled(3.0)]
+    x = np.array([-0.0, 0.0, 0.3, -1.5, 0.25, 2.0, 1e6, -1e6, 1e6 + 0.25, -1e6 - 0.125,
+                  *np.linspace(-3.0, 3.0, 25)])
+    for f in suite:
+        back = pickle.loads(pickle.dumps(f))
+        assert (back.name, back.lip, back.spec) == (f.name, f.lip, f.spec)
+        np.testing.assert_array_equal(back.at(x, "x").view(np.int64), f.at(x, "x").view(np.int64))
 
 
 def test_function_from_spec_errors():

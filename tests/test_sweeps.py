@@ -314,10 +314,11 @@ def test_instance_working_set(experiment, limit):
     # for the others; the limits keep them from coming back.  LAPACK's own
     # buffers are not traced.
     cfg, dim = golden_config(experiment), 256
-    sweeps._instance(cfg, 8, 0)  # first-call allocations are not the instance's
+    f = sweeps.function_from_spec(cfg.function)
+    sweeps._instance(cfg, f, 8, 0)  # first-call allocations are not the instance's
     tracemalloc.start()
     try:
-        sweeps._instance(cfg, dim, 0)
+        sweeps._instance(cfg, f, dim, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -370,6 +371,19 @@ def instance_pids(tmp_path, monkeypatch):
     """Two cores, and a reader of the ids of the processes that ran each sweep instance."""
     read = log_instances(tmp_path, monkeypatch, os.getpid)
     return lambda: [int(pid) for pid, in read()]
+
+
+def test_a_sweep_builds_its_function_once(monkeypatch):
+    # Once for the whole sweep, not once per instance.
+    cfg = cfg_with(experiment="trace_class", dimensions=[4, 6], ensemble=3,
+                   function={"kind": "pwl", "breakpoints": [-1.0, 0.0, 1.0], "seed": 7})
+    calls = []
+    build = sweeps.function_from_spec
+    monkeypatch.setattr(sweeps, "function_from_spec",
+                        lambda spec: calls.append(spec) or build(spec))
+    monkeypatch.setattr(sweeps, "_cores", lambda: 1)
+    assert len(run_sweep(cfg).rows) == 6
+    assert calls == [cfg.function]
 
 
 def test_sweep_runs_in_workers_with_a_pinnable_blas(instance_pids):
