@@ -14,7 +14,7 @@ from .errors import (CertificateUnsoundError, ConvergenceError, PartitionInfeasi
                      SoundnessError, ValidationError)
 from .functions import (LipschitzFunction, absolute_value, apply_function, clamp_function,
                         constant_function, default_suite, function_from_spec, identity_function,
-                        loewner_matrix, piecewise_linear, shifted_absolute, smooth_ramp)
+                        piecewise_linear, shifted_absolute, smooth_ramp)
 from .ideals import (s_Omega_norm, s_omega_norm, schatten_norm, singular_spectrum,
                      singular_value_at, weak_s1_quasinorm)
 from .linalg import SpectralDecomposition, eigh_symmetric, read_matrix, svd, write_matrix

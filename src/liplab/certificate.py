@@ -50,7 +50,8 @@ from .measures import DiscreteMeasure, WeightedKernelOperator, materialize
 # between the two.
 WEAK_NORM_CONSTANT = 64.0
 
-# Tolerance for the verification comparisons (absolute, original scale).
+# Tolerance for the verification comparisons, relative to the norm product
+# ||phi|| ||psi|| lip, the scale every certified bound carries.
 VERIFY_TOL = 1e-9
 
 # Relative cutoff collapsing near-parallel defect vectors to one direction.
@@ -530,20 +531,22 @@ def verify_certificate(kop: WeightedKernelOperator, cert: WeakDecayCertificate, 
     """Check a certificate against spectrum, the singular spectrum of materialize(kop).
 
     (a) s_{r}(M) <= b, (b) b <= analytic_bound, (c) the weak quasinorm of the
-    spectrum is at most WEAK_NORM_CONSTANT times ||phi|| ||psi|| lip, and the
-    rank budget r <= 7n.  Raises CertificateUnsoundError on any failure.
+    spectrum is at most WEAK_NORM_CONSTANT times ||phi|| ||psi|| lip, each up to
+    VERIFY_TOL times that norm product, and the rank budget r <= 7n.  Raises
+    CertificateUnsoundError on any failure.
     """
     s_r = singular_value_at(spectrum, cert.defect_rank)
+    product = kop.norm_product
+    slack = VERIFY_TOL * product
     CertificateUnsoundError.require(f"s_{cert.defect_rank} violates the certified bound",
-                                    s_r, cert.empirical_bound + VERIFY_TOL)
+                                    s_r, cert.empirical_bound + slack)
     CertificateUnsoundError.require("empirical bound exceeds the analytic bound",
-                                    cert.empirical_bound, cert.analytic_bound + VERIFY_TOL)
+                                    cert.empirical_bound, cert.analytic_bound + slack)
     CertificateUnsoundError.require("defect rank exceeds 7n", cert.defect_rank, 7 * cert.n)
     weak = weak_s1_quasinorm(spectrum)
-    product = kop.norm_product
     CertificateUnsoundError.require(
         "weak quasinorm exceeds the reported constant times the norm product",
-        weak, WEAK_NORM_CONSTANT * product + VERIFY_TOL)
+        weak, WEAK_NORM_CONSTANT * product + slack)
     return VerificationReport(
         passed=True,
         singular_value=s_r,

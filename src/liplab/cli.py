@@ -19,7 +19,7 @@ from .certificate import certify
 from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
 from .errors import SoundnessError, ValidationError, json_text, parse_json, read_json, write_text
 from .functions import function_from_spec
-from .linalg import eigh_symmetric, matrix_text, read_matrix, write_matrix
+from .linalg import eigh_symmetric, matrix_text, read_matrix
 from .measures import read_kernel_operator
 from .sweeps import FORMATS, emit_report, load_config, run_sweep
 
@@ -34,33 +34,32 @@ def _load_function(arg: str):
     return function_from_spec(read_json(arg, "function spec"))
 
 
-def _cmd_fdelta(args) -> int:
-    f = _load_function(args.function)
-    a = read_matrix(args.a)
-    b = read_matrix(args.b)
-    return _output_matrix(f_delta(f, a, b), args.out)
+def _inputs(args):
+    """f, A and B of a matrix subcommand, loaded in that order."""
+    return _load_function(args.function), read_matrix(args.a), read_matrix(args.b)
 
 
-def _output_matrix(m, out) -> int:
+def _output(text: str, out, what: str) -> int:
     if out:
-        write_matrix(out, m)
+        write_text(out, text, what)
     else:
-        print(matrix_text(m), end="")
+        print(text, end="")
     return 0
 
 
+def _cmd_fdelta(args) -> int:
+    return _output(matrix_text(f_delta(*_inputs(args))), args.out, "matrix file")
+
+
 def _cmd_doi(args) -> int:
-    f = _load_function(args.function)
-    a = read_matrix(args.a)
-    b = read_matrix(args.b)
+    f, a, b = _inputs(args)
     t = read_matrix(args.t)
-    return _output_matrix(doi_apply(f, eigh_symmetric(a), eigh_symmetric(b), t), args.out)
+    return _output(matrix_text(doi_apply(f, eigh_symmetric(a), eigh_symmetric(b), t)),
+                   args.out, "matrix file")
 
 
 def _cmd_bscheck(args) -> int:
-    f = _load_function(args.function)
-    a = read_matrix(args.a)
-    b = read_matrix(args.b)
+    f, a, b = _inputs(args)
     print(f"residual {check_birman_solomyak(f, a, b)!r}")
     print(f"contract {bs_residual_bound(a, b, f.lip)!r}")
     print("OK")
@@ -78,12 +77,7 @@ def _cmd_certify(args) -> int:
         records.append({**asdict(cert), "verification": asdict(report)})
         print(f"n={cert.n}: s_{cert.defect_rank} <= {cert.empirical_bound!r} "
               f"(observed {report.singular_value!r}) OK", file=sys.stderr)
-    payload = json_text({"certificates": records})
-    if args.out:
-        write_text(args.out, payload, "certificate file")
-    else:
-        print(payload, end="")
-    return 0
+    return _output(json_text({"certificates": records}), args.out, "certificate file")
 
 
 def _cmd_sweep(args) -> int:
@@ -104,25 +98,23 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Lipschitz perturbation laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fdelta", help="compute f(A) - f(B) from matrix files")
-    p.add_argument("--function", required=True, help="function spec: inline JSON or a path")
-    p.add_argument("a", help="matrix file for A")
-    p.add_argument("b", help="matrix file for B")
+    matrices = argparse.ArgumentParser(add_help=False)
+    matrices.add_argument("--function", required=True, help="function spec: inline JSON or a path")
+    matrices.add_argument("a", help="matrix file for A")
+    matrices.add_argument("b", help="matrix file for B")
+
+    p = sub.add_parser("fdelta", parents=[matrices], help="compute f(A) - f(B) from matrix files")
     p.add_argument("--out", help="output matrix file (default: stdout)")
     p.set_defaults(func=_cmd_fdelta)
 
-    p = sub.add_parser("doi", help="double operator integral of T against eigh(A), eigh(B)")
-    p.add_argument("--function", required=True)
-    p.add_argument("a")
-    p.add_argument("b")
+    p = sub.add_parser("doi", parents=[matrices],
+                       help="double operator integral of T against eigh(A), eigh(B)")
     p.add_argument("t")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_doi)
 
-    p = sub.add_parser("bscheck", help="Birman-Solomyak identity residual check")
-    p.add_argument("--function", required=True)
-    p.add_argument("a")
-    p.add_argument("b")
+    p = sub.add_parser("bscheck", parents=[matrices],
+                       help="Birman-Solomyak identity residual check")
     p.set_defaults(func=_cmd_bscheck)
 
     p = sub.add_parser("certify", help="build and verify weak-decay certificates")

@@ -1,4 +1,4 @@
-"""Lipschitz function suite, divided differences, Loewner matrices and their row blocks, f(A).
+"""Lipschitz function suite, f at the data (f.at), Loewner row blocks, f(A).
 
 A LipschitzFunction bundles a vectorized evaluation rule with a certified
 seminorm: |f(x) - f(y)| <= lip * |x - y| for all reals.  The divided
@@ -30,9 +30,6 @@ class LipschitzFunction:
     eval: Callable[[np.ndarray], np.ndarray]
     lip: float
     spec: dict = field(default_factory=dict)
-
-    def __call__(self, x):
-        return self.eval(np.asarray(x, dtype=float))
 
     def at(self, points, where: str) -> np.ndarray:
         """f at points; a ValidationError, not a warning, names where and the first non-finite."""
@@ -163,19 +160,8 @@ def default_suite() -> list[LipschitzFunction]:
     ]
 
 
-def loewner_matrix(f: LipschitzFunction, xs, ys) -> np.ndarray:
-    """Matrix of divided differences of f sampled at xs (rows) and ys (columns).
-
-    Raises loewner_blocks' ValidationError where an entry could be NaN.
-    """
-    out = np.empty((np.size(xs), np.size(ys)))
-    for rows, block in loewner_blocks(f, xs, ys):
-        out[rows] = block
-    return out
-
-
 def loewner_blocks(f: LipschitzFunction, xs, ys):
-    """(rows, loewner_matrix(f, xs, ys)[rows]) over row_blocks(len(xs), len(ys)).
+    """(rows, L[rows]) over row_blocks(len(xs), len(ys)); L[i, j] = f[xs[i], ys[j]].
 
     f is evaluated at xs, then at ys, once each, and the rule that no entry
     can be NaN is checked once over all atoms, before the first block: f is

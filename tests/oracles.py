@@ -23,8 +23,17 @@ def estimate_lip_seminorm(f: LipschitzFunction, grid) -> float:
     pts = np.unique(np.asarray(grid, dtype=float))
     if pts.size < 2:
         raise ValidationError("lip estimation needs at least 2 distinct grid points")
-    vals = np.asarray(f(pts), dtype=float)
+    vals = f.at(pts, "grid point")
     return float(np.max(np.abs(np.diff(vals)) / np.diff(pts)))
+
+
+def divided_differences(f: LipschitzFunction, xs, ys) -> np.ndarray:
+    """Dense (f(x) - f(y)) / (x - y) at xs (rows) and ys (columns), 0 where x = y,
+    clipped to [-lip, lip]; f is taken through f.at."""
+    diff = np.subtract.outer(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotients = np.subtract.outer(f.at(xs, "x ="), f.at(ys, "y =")) / diff
+    return np.clip(np.where(diff == 0.0, 0.0, quotients), -f.lip, f.lip)
 
 
 def orthonormal_columns(vectors, dim: int, rel_tol: float = 1e-10) -> np.ndarray:
@@ -117,7 +126,7 @@ def taylor_defects(part: IntervalPartition, kop: WeightedKernelOperator, side: s
     else:
         raise ValidationError(f"side must be 'column' or 'row', got {side!r}")
     base = weights * np.sqrt(masses)
-    fvals = np.asarray(kop.f(positions), dtype=float)
+    fvals = kop.f.at(positions, "an atom")
     idx = part.interval_of(positions)
     out = []
     for interval in range(part.count):

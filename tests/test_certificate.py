@@ -638,3 +638,39 @@ def test_verify_rejects_corrupted_bound():
     nan = dataclasses.replace(cert, empirical_bound=math.nan, analytic_bound=math.nan)
     with pytest.raises(CertificateUnsoundError):
         verify_certificate(kop, nan, spectrum=spectrum)
+
+
+def tiny_psi_operator():
+    """MU weights 1 and 2, NU weights 1e-170 and 3e-170, abs: norm product 7.07e-170."""
+    return kernel_operator([0.0, 1.0], [1.0, 1.0], [1.0, 2.0],
+                           [0.5, 2.0], [1.0, 1.0], [1e-170, 3e-170], absolute_value())
+
+
+def scaled_to(kop, product):
+    """kop with phi rescaled so that its norm product is about product."""
+    return dataclasses.replace(kop, phi=kop.phi * (product / kop.norm_product))
+
+
+@pytest.mark.parametrize("kop", [
+    tiny_psi_operator(),
+    scaled_to(random_kernel_operator(make_rng(65, 0), absolute_value(), 30, 30), 1e-12),
+], ids=["P=7e-170", "P=1e-12"])
+def test_verify_slack_scales_with_the_norm_product(kop):
+    # A certificate claiming rank 0 and every bound 0 is false whenever s_0 > 0,
+    # however small the operator's scale; an absolute slack would pass it.
+    spectrum = singular_spectrum(materialize(kop))
+    assert 0.0 < spectrum[0] < 1e-9
+    tampered = dataclasses.replace(build_certificate(kop, 1), defect_rank=0,
+                                   empirical_bound=0.0, analytic_bound=0.0)
+    with pytest.raises(CertificateUnsoundError, match="s_0 violates the certified bound"):
+        verify_certificate(kop, tampered, spectrum=spectrum)
+
+
+@pytest.mark.parametrize("exponent", [-140, -40, 40, 140])
+def test_valid_certificates_verify_at_every_scale(exponent):
+    # Norm products from about 1e-42 to 1e42; a power-of-two scale moves no bit.
+    base = random_kernel_operator(make_rng(66, 0), absolute_value(), 200, 200)
+    kop = dataclasses.replace(base, phi=base.phi * 2.0 ** exponent)
+    assert 1e-43 < kop.norm_product < 1e43
+    for cert, report in certify(kop, [2, 8, 32])[1]:
+        assert report.passed and report.norm_product == kop.norm_product

@@ -10,11 +10,16 @@ from liplab import functions, linalg
 from liplab.errors import ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
                               clamp_function, constant_function, default_suite,
-                              function_from_spec, identity_function, loewner_blocks, loewner_matrix,
+                              function_from_spec, identity_function, loewner_blocks,
                               piecewise_linear, shifted_absolute, smooth_ramp)
 from liplab.linalg import eigh_symmetric, frobenius
 from liplab.rng import make_rng, random_symmetric
-from oracles import estimate_lip_seminorm
+from oracles import divided_differences, estimate_lip_seminorm
+
+
+def one_block(f, xs, ys):
+    """The Loewner matrix of a call small enough for one row block."""
+    return next(loewner_blocks(f, xs, ys))[1]
 
 
 def test_suite_lipschitz_property():
@@ -22,21 +27,21 @@ def test_suite_lipschitz_property():
     for f in default_suite():
         x = rng.uniform(-10.0, 10.0, 10_000)
         y = rng.uniform(-10.0, 10.0, 10_000)
-        lhs = np.abs(np.asarray(f(x)) - np.asarray(f(y)))
+        lhs = np.abs(f.at(x, "x") - f.at(y, "y"))
         rhs = f.lip * np.abs(x - y) * (1 + 1e-12)
         assert np.all(lhs <= rhs), f.name
 
 
 def test_divided_difference_examples():
     f = absolute_value()
-    assert loewner_matrix(f, -1.0, 0.0)[0, 0] == -1.0
-    assert loewner_matrix(f, 3.7, 3.7)[0, 0] == 0.0
-    assert loewner_matrix(identity_function(), 2.0, 5.0)[0, 0] == 1.0
+    assert one_block(f, -1.0, 0.0)[0, 0] == -1.0
+    assert one_block(f, 3.7, 3.7)[0, 0] == 0.0
+    assert one_block(identity_function(), 2.0, 5.0)[0, 0] == 1.0
 
 
 def test_divided_difference_zero_on_diagonal_every_function():
     for f in default_suite():
-        assert loewner_matrix(f, 1.234, 1.234)[0, 0] == 0.0
+        assert one_block(f, 1.234, 1.234)[0, 0] == 0.0
 
 
 def test_divided_difference_bounded_by_lip():
@@ -44,22 +49,22 @@ def test_divided_difference_bounded_by_lip():
     for f in default_suite():
         for _ in range(200):
             x, y = rng.uniform(-5, 5, 2)
-            assert abs(loewner_matrix(f, x, y)[0, 0]) <= f.lip
+            assert abs(one_block(f, x, y)[0, 0]) <= f.lip
 
 
 def test_loewner_identity_function():
-    got = loewner_matrix(identity_function(), [0.0, 1.0], [2.0, 3.0])
+    got = one_block(identity_function(), [0.0, 1.0], [2.0, 3.0])
     np.testing.assert_allclose(got, np.ones((2, 2)))
 
 
 def test_loewner_abs_column():
-    got = loewner_matrix(absolute_value(), [-1.0, 1.0], [0.0])
+    got = one_block(absolute_value(), [-1.0, 1.0], [0.0])
     np.testing.assert_allclose(got, [[-1.0], [1.0]])
 
 
 def test_loewner_abs_symmetric_points_vanishes():
     # (|-1| - |1|) / (-1 - 1) = 0 off the diagonal; diagonal is 0 by convention.
-    got = loewner_matrix(absolute_value(), [-1.0, 1.0], [-1.0, 1.0])
+    got = one_block(absolute_value(), [-1.0, 1.0], [-1.0, 1.0])
     np.testing.assert_array_equal(got, np.zeros((2, 2)))
 
 
@@ -68,7 +73,7 @@ def test_loewner_pwl_entries_exactly_in_unit_interval():
     f = piecewise_linear(np.linspace(-2.0, 2.0, 21), 11)
     xs = rng.uniform(-4, 4, 60)
     ys = rng.uniform(-4, 4, 60)
-    entries = loewner_matrix(f, xs, ys)
+    entries = one_block(f, xs, ys)
     assert np.all(entries >= -1.0) and np.all(entries <= 1.0)
 
 
@@ -142,11 +147,11 @@ def test_non_finite_values_raise_without_a_warning():
     # (an error under this suite's settings), reports the first bad point.
     f = piecewise_linear([1e308], 1)
     with pytest.raises(ValidationError) as exc:
-        loewner_matrix(f, [1.0, -8e307], [-9e307])
+        next(loewner_blocks(f, [1.0, -8e307], [-9e307]))
     assert str(exc.value) == "pwl(seed=1) is non-finite at an atom -8e+307"
     with pytest.raises(ValidationError, match="is non-finite at x = 0.0"):
         smooth_ramp(1e200).at(np.zeros(1), "x =")
-    np.testing.assert_array_equal(f.at([1.0, 2.0], "x ="), f([1.0, 2.0]))
+    np.testing.assert_array_equal(f.at([1.0, 2.0], "x ="), f.eval(np.array([1.0, 2.0])))
 
 
 def test_loewner_blocks_evaluate_f_once_at_the_rows_and_once_at_the_columns(monkeypatch):
@@ -160,7 +165,7 @@ def test_loewner_blocks_evaluate_f_once_at_the_rows_and_once_at_the_columns(monk
         blocks = list(loewner_blocks(counted, xs, ys))
         assert [rows for rows, _ in blocks] == [slice(0, 17), slice(17, 34), slice(34, 50)]
         for rows, block in blocks:
-            np.testing.assert_array_equal(block, loewner_matrix(f, xs[rows], ys))
+            np.testing.assert_array_equal(block, divided_differences(f, xs[rows], ys))
         assert sizes == [50, 40]
 
 
@@ -175,10 +180,9 @@ def test_loewner_blocks_keep_the_rule_of_loewner_matrix():
     with pytest.raises(ValidationError, match="spread beyond the float range"):
         next(loewner_blocks(identity_function(), [1e308], [0.0, -1e308]))
     with pytest.raises(ValidationError, match="spread beyond the float range"):
-        loewner_matrix(clamp_function(), [np.inf], [np.inf])
+        next(loewner_blocks(clamp_function(), [np.inf], [np.inf]))
     # With no rows there is no block, but the rule still covers the columns.
     assert list(loewner_blocks(absolute_value(), [], [1.0, 2.0])) == []
-    assert loewner_matrix(absolute_value(), [], [1.0, 2.0]).shape == (0, 2)
     with pytest.raises(ValidationError, match="hole is non-finite at an atom 7.0"):
         list(loewner_blocks(hole, [], [7.0]))
 
@@ -187,22 +191,26 @@ def test_pwl_construction():
     nodes = np.linspace(-2.0, 2.0, 9)
     f = piecewise_linear(nodes, 42)
     # Anchored at the first breakpoint.
-    assert float(f(nodes[0])) == 0.0
+    assert float(f.at(nodes[0], "x")) == 0.0
     # Slopes are exactly +-1 between consecutive samples within a segment.
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    slopes = (np.asarray(f(mid + 1e-3)) - np.asarray(f(mid - 1e-3))) / 2e-3
+    slopes = (f.at(mid + 1e-3, "x") - f.at(mid - 1e-3, "x")) / 2e-3
     assert np.all(np.isin(np.round(slopes, 9), [-1.0, 1.0]))
     # Continuity across breakpoints.
-    left = np.asarray(f(nodes - 1e-12))
-    right = np.asarray(f(nodes + 1e-12))
+    left = f.at(nodes - 1e-12, "x")
+    right = f.at(nodes + 1e-12, "x")
     assert np.abs(left - right).max() < 1e-9
 
 
 def test_pwl_seed_reproducibility():
     nodes = np.linspace(-1.0, 1.0, 7)
     x = np.linspace(-3, 3, 101)
-    assert np.array_equal(piecewise_linear(nodes, 5)(x), piecewise_linear(nodes, 5)(x))
-    assert not np.array_equal(piecewise_linear(nodes, 5)(x), piecewise_linear(nodes, 6)(x))
+
+    def values(seed):
+        return piecewise_linear(nodes, seed).at(x, "x")
+
+    assert np.array_equal(values(5), values(5))
+    assert not np.array_equal(values(5), values(6))
 
 
 def test_pwl_validation():
@@ -223,7 +231,7 @@ def test_function_from_spec_roundtrip():
     for f in default_suite() + [identity_function(), constant_function(2.0)]:
         rebuilt = function_from_spec(f.spec)
         x = np.linspace(-4, 4, 50)
-        np.testing.assert_array_equal(rebuilt(x), f(x))
+        np.testing.assert_array_equal(rebuilt.at(x, "x"), f.at(x, "x"))
         assert rebuilt.lip == f.lip
 
 
@@ -308,5 +316,5 @@ def test_constructors_reject_non_finite_parameters(build, value):
 
 def test_shifted_absolute():
     f = shifted_absolute(0.3)
-    assert float(f(0.3)) == 0.0
-    assert float(f(1.3)) == pytest.approx(1.0)
+    assert float(f.at(0.3, "x")) == 0.0
+    assert float(f.at(1.3, "x")) == pytest.approx(1.0)
