@@ -8,7 +8,9 @@ A zero kernel (lip, phi or psi zero) is not materialized: its certificates
 have rank 0 and the same fields as any other, every bound 0.  Otherwise:
 
   1. normalize weights and function (||phi|| = ||psi|| = lip = 1); the
-     normalized matrix is M divided by the removed norm product;
+     normalized matrix is M divided by the removed norm product.  Each side's
+     positions, coordinates, nonzero-weight mask and f / lip at the atoms are
+     computed once per operator and read by every n;
   2. remove "heavy" atoms carrying weighted mass >= 1/n on either side
      (at most n per side) by zeroing their rows and columns;
   3. split the support window [-N, N] into at most n intervals, each of
@@ -42,7 +44,7 @@ from .errors import (CertificateUnsoundError, PartitionInfeasibleError, Validati
                      checked_integers)
 from .ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
 from .linalg import row_blocks
-from .measures import DiscreteMeasure, WeightedKernelOperator, materialize
+from .measures import WeightedKernelOperator, materialize
 
 # Dimension-free constant for the weak quasinorm check in verify_certificate.
 # The construction chain above certifies roughly 8 * (1 + 4 + 4 * sqrt(5)) ~ 110;
@@ -56,57 +58,6 @@ VERIFY_TOL = 1e-9
 
 # Relative cutoff collapsing near-parallel defect vectors to one direction.
 DEFECT_ANGLE_TOL = 1e-10
-
-
-def normalize(kop: WeightedKernelOperator) -> tuple[WeightedKernelOperator, float]:
-    """Scale weights and function to ||phi|| = ||psi|| = lip = 1.
-
-    Returns the normalized operator and the scale factor (the product of the
-    removed norms) that converts bounds for the normalized operator back to
-    the original one.  Idempotent up to rounding.  ValidationError unless both
-    norms, lip and the factor are normal floats (a subnormal norm is too coarse).
-    """
-    a, b, lip, scale = kop.phi_norm, kop.psi_norm, kop.f.lip, kop.norm_product
-    if not (min(a, b, lip, scale) >= np.finfo(float).tiny and scale < math.inf):
-        raise ValidationError(f"||phi|| = {a!r}, ||psi|| = {b!r}, lip = {lip!r} or their "
-                              f"product {scale!r} is outside the normal float range")
-    scaled = WeightedKernelOperator(
-        kop.mu, kop.nu, kop.phi / a, kop.psi / b, kop.f.rescaled(1.0 / lip)
-    )
-    return scaled, scale
-
-
-def heavy_atoms(measure: DiscreteMeasure, weights, n: int) -> np.ndarray:
-    """Indices of atoms with (weight * sqrt(mass))^2 >= 1/n.
-
-    With the side normalized (sum of weight^2 * mass <= 1) there are at most
-    n such atoms.
-    """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.shape != measure.positions.shape:
-        raise ValidationError("weights must have one value per atom")
-    return np.nonzero(np.square(measure.coordinates(w)) >= 1.0 / n)[0]
-
-
-def mask(kop: WeightedKernelOperator, heavy_x, heavy_y) -> WeightedKernelOperator:
-    """Zero phi at heavy_x indices and psi at heavy_y indices.
-
-    The materialized difference between input and output is supported on the
-    zeroed rows and columns, hence has rank at most len(heavy_x) + len(heavy_y).
-    """
-    hx = np.asarray(heavy_x, dtype=int)
-    hy = np.asarray(heavy_y, dtype=int)
-    if hx.size and (hx.min() < 0 or hx.max() >= kop.mu.size):
-        raise ValidationError("heavy_x contains out-of-range indices")
-    if hy.size and (hy.min() < 0 or hy.max() >= kop.nu.size):
-        raise ValidationError("heavy_y contains out-of-range indices")
-    phi = kop.phi.copy()
-    psi = kop.psi.copy()
-    phi[hx] = 0.0
-    psi[hy] = 0.0
-    return WeightedKernelOperator(kop.mu, kop.nu, phi, psi, kop.f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,23 +121,25 @@ def _interval_index(edges: np.ndarray, positions) -> np.ndarray:
     return np.clip(np.searchsorted(edges, pos, side="right") - 1, 0, edges.size - 2)
 
 
-def partition(kop: WeightedKernelOperator, n: int, radius: float) -> IntervalPartition:
+def partition(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, n: int,
+              radius: float) -> IntervalPartition:
     """Greedy left-to-right split of [-radius, radius] into <= n intervals.
 
-    radius must cover the support of both measures.  Sweeping atom positions
-    in order, an interval is closed just before adding the next position would
-    push its combined weight above 4/n.  Every closed interval then carries
-    weight > 2/n (a single position carries < 2/n once heavy atoms are
-    masked), which forces the interval count <= n.  Raises
-    PartitionInfeasibleError if a single position exceeds the cap, which can
-    only happen when masking was skipped.
+    x and y are the atom positions of the two sides, cx and cy their
+    coordinates weight * sqrt(mass); an atom weighs its coordinate squared.
+    radius must cover both sides.  Sweeping atom positions in order, an
+    interval is closed just before adding the next position would push its
+    combined weight above 4/n.  Every closed interval then carries weight
+    > 2/n (a single position carries < 2/n once heavy atoms are zeroed),
+    which forces the interval count <= n.  Raises PartitionInfeasibleError if
+    a single position exceeds the cap, which can only happen when the heavy
+    atoms were not zeroed.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     cap = 4.0 / n
-    phi_mass = np.square(kop.mu.coordinates(kop.phi))
-    psi_mass = np.square(kop.nu.coordinates(kop.psi))
-    points, where = np.unique(np.r_[kop.mu.positions, kop.nu.positions], return_inverse=True)
+    phi_mass, psi_mass = np.square(cx), np.square(cy)
+    points, where = np.unique(np.r_[x, y], return_inverse=True)
     contributions = np.zeros(points.size)
     np.add.at(contributions, where, np.r_[phi_mass, psi_mass])
 
@@ -205,9 +158,9 @@ def partition(kop: WeightedKernelOperator, n: int, radius: float) -> IntervalPar
         acc += w
         occupied = True
     edges = np.asarray(edges + [float(radius)])
-    weights = [np.bincount(_interval_index(edges, measure.positions), weights=mass,
+    weights = [np.bincount(_interval_index(edges, positions), weights=mass,
                            minlength=edges.size - 1)
-               for measure, mass in ((kop.mu, phi_mass), (kop.nu, psi_mass))]
+               for positions, mass in ((x, phi_mass), (y, psi_mass))]
     return IntervalPartition(edges, *weights, n)
 
 
@@ -317,22 +270,21 @@ def _defect_basis(base: np.ndarray, fvals: np.ndarray, idx: np.ndarray) -> _Defe
     return _DefectBasis(segments, segment, vectors, int(np.count_nonzero(kept)), int(count))
 
 
-def _residual_squares(m: np.ndarray, scale: float, masked: WeightedKernelOperator,
+def _residual_squares(m: np.ndarray, scale: float, row_keep: np.ndarray, col_keep: np.ndarray,
                       part: IntervalPartition, ix: np.ndarray, iy: np.ndarray,
                       col: _DefectBasis, row: _DefectBasis) -> np.ndarray:
     """Squared HS norms of the diagonal, upper and lower parts of the residual.
 
-    A is m / scale with the rows and columns of masked's zero weights (the
-    heavy atoms among them) zeroed, U and L its upper and lower families; ix
-    and iy are the intervals of its rows and columns.  Families are constant
-    on interval blocks and Q is block diagonal, so U Qc and Qr^T L take one
-    small product per interval.
+    A is m / scale with the rows and columns outside row_keep and col_keep
+    (zero weights and heavy atoms) zeroed, U and L its upper and lower
+    families; ix and iy are the intervals of its rows and columns.  Families
+    are constant on interval blocks and Q is block diagonal, so U Qc and
+    Qr^T L take one small product per interval.
     E = A - U Qc Qc^T - Qr Qr^T L is formed one row block at a time and its
     squares are summed per family.
     """
     families = _families(part)
-    col_factor = np.where(masked.psi != 0.0, 1.0 / scale, 0.0)
-    row_keep = masked.phi != 0.0
+    col_factor = np.where(col_keep, 1.0 / scale, 0.0)
     # up[i, t, s] = (U Qc)[i, direction t of column segment s];
     # low[t, s, j] = (Qr^T L)[direction t of row segment s, j].
     up = np.stack([(m[:, seg] @ (col.vectors[:, seg] * col_factor[seg]).T)
@@ -426,7 +378,9 @@ def _prepare(kop: WeightedKernelOperator):
 
     A weight norm is 0 only where every coordinate is, and then so is M.
     materialize's checks run first, then the pipeline's overflow checks, so
-    certify raises their ValidationError before it starts the SVD.
+    certify raises their ValidationError before it starts the SVD: the norms
+    must be normal floats, the partition spans [-R, R], and the defect basis
+    sums squares of at most sum((weight * sqrt(mass) * f / lip)^2) over a side.
     """
     if kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0:
         radius, empty = kop.support_radius, np.empty(0, dtype=int)
@@ -435,47 +389,59 @@ def _prepare(kop: WeightedKernelOperator):
             IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
             {"column": 0, "row": 0}, 0, np.zeros(3))
     m = materialize(kop)
-    unit, scale = normalize(kop)
-    fx, fy = _f_at_atoms(unit)
-    return m, lambda n: _certificate(m, unit, scale, fx, fy, n)
-
-
-def _f_at_atoms(unit: WeightedKernelOperator) -> list:
-    """f at the atoms of each side of the normalized operator, evaluated once for every n.
-
-    Raises ValidationError where the pipeline would overflow: the partition
-    spans [-R, R], and the defect basis sums squares of at most
-    sum((weight * sqrt(mass) * f)^2) over a side.
-    """
-    radius = unit.support_radius
+    a, b, lip, scale = kop.phi_norm, kop.psi_norm, kop.f.lip, kop.norm_product
+    if not (min(a, b, lip, scale) >= np.finfo(float).tiny and scale < math.inf):
+        raise ValidationError(f"||phi|| = {a!r}, ||psi|| = {b!r}, lip = {lip!r} or their "
+                              f"product {scale!r} is outside the normal float range")
+    radius = kop.support_radius
     if not math.isfinite(2.0 * radius):
         raise ValidationError(f"support window [-{radius!r}, {radius!r}] is wider than the "
                               "float range")
-    values = []
-    for measure, weights in ((unit.mu, unit.phi), (unit.nu, unit.psi)):
-        fvals = unit.f.at(measure.positions, "an atom")
-        with np.errstate(over="ignore"):
-            squares = np.sum(np.square(measure.coordinates(weights) * fvals))
+    sides = []
+    for measure, weights, norm in ((kop.mu, kop.phi, a), (kop.nu, kop.psi, b)):
+        unit = weights / norm
+        coordinates = measure.coordinates(unit)
+        with np.errstate(over="ignore", invalid="ignore"):  # f / lip overflows if lip < 1
+            fvals = (1.0 / lip) * kop.f.at(measure.positions, "an atom")
+            squares = np.sum(np.square(coordinates * fvals))
         if not np.isfinite(squares):
             raise ValidationError("the weighted squares of the normalized function values "
                                   "at the atoms overflow the float range")
-        values.append(fvals)
-    return values
+        sides.append(_Side(measure.positions, coordinates, unit != 0.0, fvals))
+    return m, lambda n: _certificate(m, scale, radius, *sides, n)
 
 
-def _certificate(m: np.ndarray, unit: WeightedKernelOperator, scale: float, fx: np.ndarray,
-                 fy: np.ndarray, n: int) -> WeakDecayCertificate:
-    radius = unit.support_radius
-    hx = heavy_atoms(unit.mu, unit.phi, n)
-    hy = heavy_atoms(unit.nu, unit.psi, n)
-    masked = mask(unit, hx, hy)
-    part = partition(masked, n, radius)
-    ix, iy = part.interval_of(unit.mu.positions), part.interval_of(unit.nu.positions)
-    col = _defect_basis(unit.nu.coordinates(masked.psi), fy, iy)
-    row = _defect_basis(unit.mu.coordinates(masked.phi), fx, ix)
+class _Side(NamedTuple):
+    """One side of the normalized operator (||weights|| = lip = 1), read by every n.
+
+    coordinates are weight * sqrt(mass) and keep marks the nonzero weights:
+    a weight whose coordinate underflows to 0 still has a row or column in M.
+    """
+
+    positions: np.ndarray
+    coordinates: np.ndarray
+    keep: np.ndarray
+    fvals: np.ndarray
+
+    def light(self, n: int):
+        """(heavy, coordinates, keep): the heavy atoms, coordinate^2 >= 1/n, zeroed in copies."""
+        heavy = np.flatnonzero(np.square(self.coordinates) >= 1.0 / n)
+        coordinates, keep = self.coordinates.copy(), self.keep.copy()
+        coordinates[heavy] = 0.0
+        keep[heavy] = False
+        return heavy, coordinates, keep
+
+
+def _certificate(m: np.ndarray, scale: float, radius: float, x: _Side, y: _Side,
+                 n: int) -> WeakDecayCertificate:
+    (hx, cx, row_keep), (hy, cy, col_keep) = x.light(n), y.light(n)
+    part = partition(x.positions, cx, y.positions, cy, n, radius)
+    ix, iy = part.interval_of(x.positions), part.interval_of(y.positions)
+    col = _defect_basis(cy, y.fvals, iy)
+    row = _defect_basis(cx, x.fvals, ix)
     return _record(n, radius, scale, hx, hy, part, {"column": col.count, "row": row.count},
                    int(hx.size + hy.size + col.rank + row.rank + n),
-                   _residual_squares(m, scale, masked, part, ix, iy, col, row))
+                   _residual_squares(m, scale, row_keep, col_keep, part, ix, iy, col, row))
 
 
 def _record(n: int, radius: float, scale: float, hx: np.ndarray, hy: np.ndarray,

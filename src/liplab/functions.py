@@ -41,16 +41,6 @@ class LipschitzFunction:
             raise ValidationError(f"{self.name} is non-finite at {where} {float(x[bad][0])!r}")
         return values
 
-    def rescaled(self, factor: float) -> "LipschitzFunction":
-        """factor * f, with the seminorm scaled by |factor|; it has no spec to write to a file."""
-        c = float(factor)
-        return LipschitzFunction(f"{factor!r}*{self.name}", partial(_scaled, c, self.eval),
-                                 abs(c) * self.lip)
-
-
-def _scaled(c, base, x):
-    return c * base(x)
-
 
 def absolute_value() -> LipschitzFunction:
     return LipschitzFunction("abs", np.abs, 1.0, {"kind": "abs"})

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .linalg import as_matrix
 
-# Monotonicity repair threshold: increases beyond this are a hard error.
+# Monotonicity repair threshold, relative to max |s_j|: increases or negative
+# values beyond it are a hard error.
 MONOTONICITY_TOL = 1e-9
 
 
@@ -34,9 +35,10 @@ def as_spectrum(values) -> np.ndarray:
         raise ValidationError("spectrum contains non-finite values")
     if s.size == 0:
         return s
-    if np.any(np.diff(s) > MONOTONICITY_TOL):
+    tol = MONOTONICITY_TOL * np.max(np.abs(s))
+    if np.any(np.diff(s) > tol):
         raise ValidationError("spectrum increases beyond tolerance; not a singular spectrum")
-    if np.any(s < -MONOTONICITY_TOL):
+    if np.any(s < -tol):
         raise ValidationError("spectrum has negative values beyond tolerance")
     # Sub-tolerance repairs keep downstream functionals exactly monotone.
     s = np.minimum.accumulate(np.clip(s, 0.0, None))

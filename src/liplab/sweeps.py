@@ -76,11 +76,12 @@ class SweepConfig:
                                   f"got {self.ensemble}")
         object.__setattr__(self, "seed", checked(self.seed, int, "seed"))
         function_from_spec(self.function)  # validate early
-        if self.experiment == "interp":
-            object.__setattr__(self, "p", checked(self.p, float, "p"))
-            object.__setattr__(self, "epsilon", checked(self.epsilon, float, "epsilon"))
-            if not (self.p >= 1.0 and self.epsilon > 0.0):
-                raise ValidationError("interp sweep requires p >= 1 and epsilon > 0")
+        interp = self.experiment == "interp"
+        for name in ("p", "epsilon"):  # interp requires both; any experiment checks their type
+            if interp or getattr(self, name) is not None:
+                object.__setattr__(self, name, checked(getattr(self, name), float, name))
+        if interp and not (self.p >= 1.0 and self.epsilon > 0.0):
+            raise ValidationError("interp sweep requires p >= 1 and epsilon > 0")
         if self.format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}, got {self.format!r}")
         if self.out is not None:

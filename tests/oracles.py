@@ -8,10 +8,11 @@ path lives on here as the oracle it must agree with.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
-from liplab.certificate import (DEFECT_ANGLE_TOL, IntervalPartition, heavy_atoms, mask,
-                                normalize, partition)
+from liplab.certificate import DEFECT_ANGLE_TOL, IntervalPartition, partition
 from liplab.errors import ValidationError
 from liplab.functions import LipschitzFunction
 from liplab.linalg import frobenius
@@ -141,6 +142,25 @@ def taylor_defects(part: IntervalPartition, kop: WeightedKernelOperator, side: s
     return out
 
 
+def masked_operator(kop: WeightedKernelOperator, n: int):
+    """(masked, heavy_x, heavy_y, part): kop normalized and its heavy atoms zeroed, densely.
+
+    masked has ||phi|| = ||psi|| = lip = 1 before the weights of the heavy
+    atoms (weight^2 * mass >= 1/n) are zeroed; part is the library's
+    partition of it.  Bounds for masked times kop.norm_product are in kop's scale.
+    """
+    f = kop.f
+    unit_f = LipschitzFunction(f"{f.name}/lip", lambda x: (1.0 / f.lip) * f.eval(x), 1.0)
+    weights, heavy = [], []
+    for measure, unit in ((kop.mu, kop.phi / kop.phi_norm), (kop.nu, kop.psi / kop.psi_norm)):
+        heavy.append(np.flatnonzero(np.square(measure.coordinates(unit)) >= 1.0 / n))
+        weights.append(np.where(np.isin(np.arange(unit.size), heavy[-1]), 0.0, unit))
+    masked = WeightedKernelOperator(kop.mu, kop.nu, *weights, unit_f)
+    part = partition(kop.mu.positions, kop.mu.coordinates(masked.phi), kop.nu.positions,
+                     kop.nu.coordinates(masked.psi), n, kop.support_radius)
+    return masked, *heavy, part
+
+
 def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     """The certificate's residual norms and defect rank by the dense pipeline.
 
@@ -150,11 +170,8 @@ def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     original operator's scale, as in WeakDecayCertificate; defect_counts are
     the numbers of raw defects per side.
     """
-    unit, scale = normalize(kop)
-    hx = heavy_atoms(unit.mu, unit.phi, n)
-    hy = heavy_atoms(unit.nu, unit.psi, n)
-    masked = mask(unit, hx, hy)
-    part = partition(masked, n, unit.support_radius)
+    masked, hx, hy, part = masked_operator(kop, n)
+    scale = kop.norm_product
 
     m_masked = materialize(masked)
     _, _, upper_mask, lower_mask, diag_mask = correction_ratios(part, masked)
@@ -176,3 +193,54 @@ def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
         "defect_rank": int(hx.size + hy.size + q_col.shape[1] + q_row.shape[1] + n),
         "defect_counts": {"column": len(col_defects), "row": len(row_defects)},
     }
+
+
+# Relative margin within which an exact decision counts as a tie that rounding may flip.
+TIE = Fraction(1, 10**12)
+
+
+def _near(lhs: Fraction, rhs: Fraction) -> bool:
+    return abs(lhs - rhs) <= TIE * abs(rhs)
+
+
+def exact_heavy(coordinates, n: int):
+    """(heavy, ties): the atoms with n * c_i^2 >= sum(c^2), in exact arithmetic.
+
+    coordinates are weight * sqrt(mass) before normalization, taken exactly as
+    Fractions; ties are the atoms whose two sides differ by at most 1e-12
+    relative, where the library's rounded normalization may decide either way.
+    """
+    squares = [Fraction(float(c)) ** 2 for c in coordinates]
+    total = sum(squares)
+    heavy = {i for i, s in enumerate(squares) if n * s >= total}
+    ties = {i for i, s in enumerate(squares) if _near(n * s, total)}
+    return heavy, ties
+
+
+def exact_edges(x, cx, heavy_x, y, cy, heavy_y, n: int, radius: float):
+    """(edges, settled): the greedy 4/n partition of [-radius, radius], in exact arithmetic.
+
+    An atom weighs c_i^2 / sum(c^2) over its side, 0 if heavy; the positions
+    are swept in order, and an interval is closed before the position whose
+    weight would push it above 4/n.  edges[:settled] were fixed before the
+    first close decision within 1e-12 relative of the cap, which rounding may
+    flip; settled is len(edges) if there is none.
+    """
+    weight: dict = {}
+    for positions, coordinates, heavy in ((x, cx, heavy_x), (y, cy, heavy_y)):
+        squares = [Fraction(float(c)) ** 2 for c in coordinates]
+        total = sum(squares)
+        for i, (pos, s) in enumerate(zip(positions, squares)):
+            weight[float(pos)] = weight.get(float(pos), 0) + (0 if i in heavy else s / total)
+    cap = Fraction(4, n)
+    edges, acc, occupied, settled = [-float(radius)], Fraction(0), False, None
+    for pos in sorted(weight):
+        if occupied and settled is None and _near(acc + weight[pos], cap):
+            settled = len(edges)
+        if occupied and acc + weight[pos] > cap:
+            edges.append(pos)
+            acc = Fraction(0)
+        acc += weight[pos]
+        occupied = True
+    edges.append(float(radius))
+    return edges, len(edges) if settled is None else settled

@@ -9,68 +9,75 @@ import pytest
 
 from liplab import certificate
 from liplab.certificate import (IntervalPartition, build_certificate, certify,
-                                diag_weight_bound, flat_bound, heavy_atoms, mask, normalize,
-                                partition, split_blocks, verify_certificate)
+                                diag_weight_bound, flat_bound, partition, split_blocks,
+                                verify_certificate)
 from liplab.errors import (CertificateUnsoundError, PartitionInfeasibleError,
                            ValidationError, json_text)
-from liplab.functions import (absolute_value, clamp_function, constant_function,
-                              function_from_spec, identity_function, piecewise_linear)
+from liplab.functions import (LipschitzFunction, absolute_value, clamp_function,
+                              constant_function, function_from_spec, identity_function,
+                              piecewise_linear)
 from liplab.ideals import singular_spectrum, singular_value_at
 from liplab.linalg import frobenius
 from liplab.measures import (DiscreteMeasure, kernel_operator, materialize,
                              read_kernel_operator)
 from liplab.rng import make_rng, random_kernel_operator
-from oracles import (correction_ratios, dense_certificate, diag_block_hs,
-                     lower_corrected_matrix, orthonormal_columns, taylor_defects,
-                     upper_corrected_matrix)
+from oracles import (correction_ratios, dense_certificate, diag_block_hs, exact_edges,
+                     exact_heavy, lower_corrected_matrix, masked_operator, orthonormal_columns,
+                     taylor_defects, upper_corrected_matrix)
 
 
 def masked_instance(seed, atoms, n, f=None):
     """Normalized, masked operator plus its partition."""
     rng = make_rng(seed, 900)
     kop = random_kernel_operator(rng, f or absolute_value(), atoms, atoms)
-    unit, _ = normalize(kop)
-    radius = unit.support_radius
-    hx = heavy_atoms(unit.mu, unit.phi, n)
-    hy = heavy_atoms(unit.nu, unit.psi, n)
-    masked = mask(unit, hx, hy)
-    return masked, partition(masked, n, radius), radius
+    masked, _, _, part = masked_operator(kop, n)
+    return masked, part, kop.support_radius
+
+
+def sides(kop):
+    """partition's side arguments: positions and coordinates of mu, then of nu."""
+    return (kop.mu.positions, kop.mu.coordinates(kop.phi),
+            kop.nu.positions, kop.nu.coordinates(kop.psi))
 
 
 # ---------------------------------------------------------------- normalize
 
 def test_normalize_already_unit():
     kop = kernel_operator([0.0], [1.0], [1.0], [1.0], [1.0], [1.0], absolute_value())
-    unit, scale = normalize(kop)
-    assert scale == pytest.approx(1.0)
-    np.testing.assert_allclose(unit.phi, kop.phi)
-    np.testing.assert_allclose(unit.psi, kop.psi)
+    assert build_certificate(kop, 2).scale == 1.0
 
 
 def test_normalize_scaling():
-    kop = kernel_operator([0.0], [1.0], [2.0], [1.0], [1.0], [1.0], absolute_value())
-    unit, scale = normalize(kop)
-    assert scale == pytest.approx(2.0)
-    assert unit.phi_norm == pytest.approx(1.0)
+    # Bounds are in the scale of the operator: the removed norm product times
+    # those of the normalized one.
+    kop = kernel_operator([0.0, 1.0], [1.0, 1.0], [2.0, 2.0], [1.0, 3.0], [1.0, 1.0],
+                          [1.0, 1.0], absolute_value())
+    cert = build_certificate(kop, 1)
+    assert cert.scale == pytest.approx(4.0)
+    assert cert.residual_hs == pytest.approx(frobenius(materialize(kop)), rel=1e-15)
 
 
 def test_normalize_idempotent():
     rng = make_rng(40, 0)
     kop = random_kernel_operator(rng, absolute_value(), 25, 25)
-    once, scale1 = normalize(kop)
-    twice, scale2 = normalize(once)
-    assert scale2 == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(once.phi - twice.phi).max() <= 1e-12
-    assert np.abs(once.psi - twice.psi).max() <= 1e-12
+    unit = dataclasses.replace(kop, phi=kop.phi / kop.phi_norm, psi=kop.psi / kop.psi_norm)
+    for n in (1, 4, 16):
+        once, twice = build_certificate(kop, n), build_certificate(unit, n)
+        assert twice.scale == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(once.heavy_x, twice.heavy_x)
+        np.testing.assert_array_equal(once.partition.edges, twice.partition.edges)
+        assert twice.residual_hs == pytest.approx(once.residual_hs / once.scale, rel=1e-12)
 
 
 def test_normalize_rejects_degenerate():
-    kop = kernel_operator([0.0], [1.0], [0.0], [1.0], [1.0], [1.0], absolute_value())
-    with pytest.raises(ValidationError):
-        normalize(kop)
-    kop = kernel_operator([0.0], [1.0], [1.0], [1.0], [1.0], [1.0], constant_function(1.0))
-    with pytest.raises(ValidationError):
-        normalize(kop)
+    # A subnormal norm or lip is too coarse to normalize by; the product
+    # overflows at 1e200 * 1e200 (M is 0 there: its atoms coincide).
+    tiny = kernel_operator([0.0], [1.0], [1e-310], [1.0], [1.0], [1.0], absolute_value())
+    flat = LipschitzFunction("flat", lambda x: 1e-310 * x, 1e-310)
+    huge = kernel_operator([0.0], [1.0], [1e200], [0.0], [1.0], [1e200], absolute_value())
+    for kop in (tiny, dataclasses.replace(tiny, phi=[1.0], f=flat), huge):
+        with pytest.raises(ValidationError, match="outside the normal float range"):
+            build_certificate(kop, 2)
 
 
 # --------------------------------------------------------------- truncation
@@ -85,71 +92,120 @@ def test_truncation_radius_is_support_radius():
 
 # -------------------------------------------------------------- heavy atoms
 
+def heavy_sets(mu, phi, nu, psi, n):
+    """The certificate's heavy atoms at n for weights phi on mu and psi on nu, under abs."""
+    kop = kernel_operator(mu.positions, mu.masses, phi, nu.positions, nu.masses, psi,
+                          absolute_value())
+    cert = build_certificate(kop, n)
+    return set(cert.heavy_x.tolist()), set(cert.heavy_y.tolist())
+
+
 def test_heavy_atoms_uniform_none():
     m = DiscreteMeasure(np.arange(10.0), np.full(10, 0.1))
-    assert heavy_atoms(m, np.ones(10), 1).size == 0
+    assert heavy_sets(m, np.ones(10), m, np.ones(10), 1) == (set(), set())
 
 
 def test_heavy_atoms_concentrated():
     # A single atom carrying the whole unit weight is heavy for every n.
     m = DiscreteMeasure([0.0], [1.0])
-    for n in (1, 2, 8):
-        np.testing.assert_array_equal(heavy_atoms(m, np.ones(1), n), [0])
-    # At n = 1 only full concentration qualifies.
     spread = DiscreteMeasure([0.0, 1.0], [0.999, 0.001])
-    assert heavy_atoms(spread, np.ones(2), 1).size == 0
-    np.testing.assert_array_equal(heavy_atoms(spread, np.ones(2), 2), [0])
+    for n in (1, 2, 8):
+        assert heavy_sets(m, np.ones(1), spread, np.ones(2), n)[0] == {0}
+    # At n = 1 only full concentration qualifies.
+    assert heavy_sets(m, np.ones(1), spread, np.ones(2), 1)[1] == set()
+    assert heavy_sets(m, np.ones(1), spread, np.ones(2), 2)[1] == {0}
 
 
 def test_heavy_atoms_matches_brute_force():
     rng = make_rng(42, 0)
     for _ in range(20):
-        count = int(rng.integers(5, 60))
-        m = DiscreteMeasure(np.sort(rng.uniform(-3, 3, count)), rng.uniform(0.01, 1.0, count))
-        w = rng.standard_normal(count)
-        total = float(np.sum(w * w * m.masses))
-        w = w / math.sqrt(total)
-        got = set(heavy_atoms(m, w, 8).tolist())
-        brute = {i for i in range(count) if w[i] ** 2 * m.masses[i] >= 1.0 / 8.0}
-        assert got == brute
-        assert len(got) <= 8
+        args, brute = [], []
+        for count in rng.integers(5, 60, size=2).tolist():
+            m = DiscreteMeasure(np.sort(rng.uniform(-3, 3, count)),
+                                rng.uniform(0.01, 1.0, count))
+            w = rng.standard_normal(count)
+            w = w / math.sqrt(float(np.sum(w * w * m.masses)))
+            args += [m, w]
+            brute.append({i for i in range(count) if w[i] ** 2 * m.masses[i] >= 1.0 / 8.0})
+        got = heavy_sets(*args, 8)
+        assert list(got) == brute
+        assert max(map(len, got)) <= 8
+
+
+def test_heavy_sets_and_partition_edges_replay_exactly():
+    # Dyadic positions and weights, masses the squares of dyadics: every
+    # coordinate weight * sqrt(mass) is exact, so the heavy test
+    # n * c_i^2 >= sum(c^2) and the greedy 4/n sweep replay in Fractions.
+    # Only a decision within 1e-12 of its threshold may go either way; those
+    # are counted, not avoided.  The partition is replayed on the certificate's
+    # heavy sets, and its edges are compared up to the first tied decision.
+    # Ties are common at n = 2: without heavy atoms both sides weigh exactly
+    # the cap 4/n = 2 together, and the float sweep may close an interval
+    # before the last position.
+    rng = make_rng(24, 13)
+    checked = ties = heavy = split = 0
+    for _ in range(60):
+        args = []
+        for count in rng.integers(1, 41, size=2).tolist():
+            args += [rng.choice(np.arange(-64, 65), size=count, replace=False) / 8.0,
+                     (rng.integers(1, 9, size=count) / 4.0) ** 2,
+                     rng.integers(-8, 9, size=count) / 4.0]
+        kop = kernel_operator(*args, absolute_value())
+        cx, cy = kop.mu.coordinates(kop.phi), kop.nu.coordinates(kop.psi)
+        if not (np.any(cx) and np.any(cy)):
+            continue
+        for n in (1, 2, 4, 8):
+            cert = build_certificate(kop, n)
+            (hx, tx), (hy, ty) = exact_heavy(cx, n), exact_heavy(cy, n)
+            for got, exact, tied in ((cert.heavy_x, hx, tx), (cert.heavy_y, hy, ty)):
+                assert set(got.tolist()) - tied == exact - tied
+            edges, settled = exact_edges(kop.mu.positions, cx, set(cert.heavy_x.tolist()),
+                                         kop.nu.positions, cy, set(cert.heavy_y.tolist()),
+                                         n, kop.support_radius)
+            got = cert.partition.edges.tolist()
+            assert got[:settled] == edges[:settled]
+            if settled == len(edges):
+                assert got == edges
+                checked += 1
+                heavy += bool(hx or hy)
+                split += len(edges) > 3
+            ties += bool(tx or ty) or settled < len(edges)
+    # 240 cases: 43 have a tie, and 199 replay their edges in full.
+    assert (checked, ties) == (199, 43) and heavy >= 20 and split >= 20
 
 
 # --------------------------------------------------------------------- mask
 
 def test_mask_empty_is_identity():
+    # No heavy atom at n = 1 and one interval: the residual is all of M.
     rng = make_rng(43, 0)
     kop = random_kernel_operator(rng, absolute_value(), 10, 10)
-    same = mask(kop, [], [])
-    np.testing.assert_array_equal(same.phi, kop.phi)
-    np.testing.assert_array_equal(same.psi, kop.psi)
+    cert = build_certificate(kop, 1)
+    assert cert.heavy_x.size == cert.heavy_y.size == 0 and cert.partition.count == 1
+    assert cert.residual_hs == pytest.approx(frobenius(materialize(kop)), rel=1e-12)
 
 
 def test_mask_everything_gives_zero_operator():
-    rng = make_rng(44, 0)
-    kop = random_kernel_operator(rng, absolute_value(), 6, 7)
-    zero = mask(kop, np.arange(6), np.arange(7))
-    assert np.abs(materialize(zero)).max() == 0.0
+    # One atom per side is heavy at every n; zeroing both leaves no residual.
+    kop = kernel_operator([0.0], [0.5], [3.0], [1.0], [2.0], [0.25], absolute_value())
+    for n in (1, 2, 8):
+        cert = build_certificate(kop, n)
+        assert cert.heavy_x.tolist() == cert.heavy_y.tolist() == [0]
+        assert cert.residual_hs == 0.0
 
 
 def test_mask_rank_bound_via_svd():
+    # Zeroing the heavy rows and columns changes M by rank at most their count.
     rng = make_rng(45, 0)
-    for _ in range(10):
+    for n in (2, 4, 8, 16, 32):
         kop = random_kernel_operator(rng, absolute_value(), 30, 25)
-        hx = rng.choice(30, size=int(rng.integers(0, 5)), replace=False)
-        hy = rng.choice(25, size=int(rng.integers(0, 5)), replace=False)
-        diff = materialize(kop) - materialize(mask(kop, hx, hy))
-        s = np.linalg.svd(diff, compute_uv=False)
-        assert int(np.sum(s > 1e-10)) <= hx.size + hy.size
-
-
-def test_mask_validates_indices():
-    rng = make_rng(46, 0)
-    kop = random_kernel_operator(rng, absolute_value(), 5, 5)
-    with pytest.raises(ValidationError):
-        mask(kop, [7], [])
-    with pytest.raises(ValidationError, match="heavy_y"):
-        mask(kop, [], [7])
+        cert = build_certificate(kop, n)
+        m = materialize(kop)
+        masked = m.copy()
+        masked[cert.heavy_x] = 0.0
+        masked[:, cert.heavy_y] = 0.0
+        s = np.linalg.svd(m - masked, compute_uv=False)
+        assert int(np.sum(s > 1e-10)) <= cert.heavy_x.size + cert.heavy_y.size
 
 
 # ---------------------------------------------------------------- partition
@@ -159,8 +215,8 @@ def test_tiny_masses_weigh_without_overflow():
     # 5e-324: only the second atom (weighted mass 0.81) is heavy at n = 2.
     kop = kernel_operator([0.0, 1.0], [5e-324, 1.0], [1e160, 0.9], [0.5], [1.0], [0.5],
                           absolute_value())
-    np.testing.assert_array_equal(heavy_atoms(kop.mu, kop.phi, 2), [1])
-    part = partition(mask(kop, [1], []), 8, 1.0)
+    np.testing.assert_array_equal(build_certificate(kop, 2).heavy_x, [1])
+    part = partition(*sides(dataclasses.replace(kop, phi=[1e160, 0.0])), 8, 1.0)
     assert part.phi_weights.sum() == pytest.approx((1e160 * math.sqrt(5e-324)) ** 2, rel=1e-12)
 
 
@@ -179,7 +235,7 @@ def test_partition_uniform_light_atoms():
     masses = np.full(count, 1.0 / count)
     weights = np.full(count, math.sqrt(count / (2.0 * count)))  # w^2 m = 1/(2n) per side
     kop = kernel_operator(pos, masses, weights, pos, masses, weights, absolute_value())
-    part = partition(kop, n, 1.0)
+    part = partition(*sides(kop), n, 1.0)
     assert part.count <= n
     assert np.all(part.combined_weights <= 4.0 / n + 1e-15)
     total = float(np.sum(part.combined_weights))
@@ -204,9 +260,8 @@ def test_partition_contract_on_random_instances():
 def test_partition_infeasible_without_masking():
     kop = kernel_operator([0.0, 1.0], [0.9, 0.1], [1.0, 1.0],
                           [0.0, 1.0], [0.9, 0.1], [1.0, 1.0], absolute_value())
-    unit, _ = normalize(kop)
     with pytest.raises(PartitionInfeasibleError):
-        partition(unit, 16, 1.0)
+        partition(*sides(kop), 16, 1.0)
 
 
 def test_partition_invariant_validation():
@@ -281,8 +336,7 @@ def test_taylor_defects_parallel_when_f_constant_on_interval():
     pos = np.linspace(1.5, 2.5, 12)
     kop = kernel_operator(pos, np.full(12, 1 / 12), np.ones(12),
                           pos + 1e-4, np.full(12, 1 / 12), np.ones(12), clamp_function())
-    unit, _ = normalize(kop)
-    part = partition(unit, 4, unit.support_radius)
+    unit, _, _, part = masked_operator(kop, 4)
     vecs = taylor_defects(part, unit, "column")
     basis = orthonormal_columns(vecs, unit.nu.size)
     idx = part.interval_of(unit.nu.positions)
@@ -431,13 +485,9 @@ def test_certificate_rejects_bad_n():
     kop = random_kernel_operator(rng, absolute_value(), 5, 5)
     with pytest.raises(ValidationError):
         build_certificate(kop, 0)
-    # The stages check their own arguments, called on their own.
+    # partition checks its own n, called on its own.
     with pytest.raises(ValidationError, match="n must be"):
-        heavy_atoms(kop.mu, kop.phi, 0)
-    with pytest.raises(ValidationError, match="n must be"):
-        partition(kop, 0, kop.support_radius)
-    with pytest.raises(ValidationError, match="one value per atom"):
-        heavy_atoms(kop.mu, kop.phi[:-1], 2)
+        partition(*sides(kop), 0, kop.support_radius)
 
 
 def test_certificate_rejects_overflowing_spread():

@@ -677,6 +677,22 @@ def test_sweep_bad_config(tmp_path, monkeypatch):
         assert main(["sweep", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("experiment", ["rank_one", "certificate", "interp"])
+@pytest.mark.parametrize("field,value", [("p", "abc"), ("epsilon", [1, 2])])
+def test_sweep_wrong_typed_p_or_epsilon_exits_2(tmp_path, monkeypatch, capsys, experiment,
+                                                field, value):
+    # Every experiment checks the type of a p or epsilon it is given, not only
+    # interp, which needs both.
+    monkeypatch.setattr(sweeps, "_run_instances", lambda cfg: pytest.fail("the sweep ran"))
+    cfg = {"experiment": experiment, "dimensions": [4], "ensemble": 1, "seed": 0,
+           "function": {"kind": "abs"}, "p": 2.0, "epsilon": 0.5, field: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert f"{field} has the wrong type or value" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("target,guard,value,ensemble", [
     pytest.param("trace_class", "S2_SLACK", -1.0, 1, id="trace_class-S2_SLACK--1.0"),
     # Two instances on two cores: the guard trips in a worker process.

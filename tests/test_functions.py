@@ -242,10 +242,9 @@ def test_every_function_pickles_with_the_same_values():
               "pwl": {"breakpoints": [-1.5, 0.0, 0.25, 2.0], "seed": 7}}
     assert sorted(fields) == sorted(functions._KINDS)
     built = {kind: function_from_spec({"kind": kind, **f}) for kind, f in fields.items()}
-    suite = [*built.values(), built["pwl"].rescaled(-0.5), built["shifted_abs"].rescaled(3.0)]
     x = np.array([-0.0, 0.0, 0.3, -1.5, 0.25, 2.0, 1e6, -1e6, 1e6 + 0.25, -1e6 - 0.125,
                   *np.linspace(-3.0, 3.0, 25)])
-    for f in suite:
+    for f in built.values():
         back = pickle.loads(pickle.dumps(f))
         assert (back.name, back.lip, back.spec) == (f.name, f.lip, f.spec)
         np.testing.assert_array_equal(back.at(x, "x").view(np.int64), f.at(x, "x").view(np.int64))

@@ -148,3 +148,19 @@ def test_as_spectrum_validation():
     fixed = as_spectrum([1.0, 1.0 + 1e-12, 0.5])
     assert np.all(np.diff(fixed) <= 0)
 
+
+def _rejects(functional, values, message):
+    with pytest.raises(ValidationError, match=message):
+        functional(values)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: _rejects(weak_s1_quasinorm, [1e-12, 5e-10, 1e-10], "increases beyond tolerance"),
+    lambda: _rejects(s_omega_norm, [1e-12, -5e-10], "negative values beyond tolerance"),
+    lambda: np.testing.assert_array_equal(as_spectrum([1e10, 1e10 + 2e-6]), [1e10, 1e10]),
+], ids=["increase-at-1e-10", "negative-at-1e-12", "ulp-jitter-at-1e10"])
+def test_as_spectrum_tolerance_scales_with_the_spectrum(check):
+    # An absolute 1e-9 would repair a spectrum at 1e-10 that increases 500-fold
+    # and pass a negative value 500 times its top one, yet reject one ulp of
+    # jitter at 1e10.
+    check()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from liplab import linalg
-from liplab.certificate import normalize
 from liplab.doi import eigenbasis_product
 from liplab.errors import ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, clamp_function, constant_function,
@@ -246,8 +245,10 @@ def test_operator_file_rejects_a_repeated_section(tmp_path, repeated):
 
 
 def test_normalized_operator_is_not_written(tmp_path):
-    # Its function carries no spec that function_from_spec could read back.
-    unit = normalize(random_kernel_operator(make_rng(34), absolute_value(), 3, 3))[0]
+    # A hand-built function, here abs normalized to lip 1 by hand, carries no
+    # spec that function_from_spec could read back.
+    f = LipschitzFunction("abs/2", lambda x: 0.5 * np.abs(x), 0.5)
+    unit = random_kernel_operator(make_rng(34), f, 3, 3)
     path = tmp_path / "kop.txt"
     with pytest.raises(ValidationError, match="has no serializable spec"):
         write_kernel_operator(path, unit)
