@@ -14,7 +14,7 @@ have rank 0 and the same fields as any other, every bound 0.  Otherwise:
   2. remove "heavy" atoms carrying weighted mass >= 1/n on either side
      (at most n per side) by zeroing their rows and columns;
   3. split the support window [-N, N] into at most n intervals, each of
-     combined weight <= 4/n (greedy left-to-right sweep);
+     combined weight <= (4/n)(1 + CAP_SLACK) (greedy left-to-right sweep);
   4. for off-diagonal interval pairs, project out two defect vectors per
      interval (the weighted indicator and the weighted-f indicator), which
      cancels the first-order term of the kernel expanded around interval
@@ -59,13 +59,19 @@ VERIFY_TOL = 1e-9
 # Relative cutoff collapsing near-parallel defect vectors to one direction.
 DEFECT_ANGLE_TOL = 1e-10
 
+# Relative slack of the interval weight cap (4/n)(1 + CAP_SLACK).  Two unit sides
+# without heavy atoms weigh exactly 4/n at n = 2; the rounding of their sums, an
+# ulp or so per atom, stays below it, so they keep one interval.  The analytic
+# bounds grow by a factor <= 1 + CAP_SLACK, which VERIFY_TOL covers.
+CAP_SLACK = 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class IntervalPartition:
     """Contiguous intervals [edges[i], edges[i+1]) covering [-N, N], last closed.
 
     phi_weights[i] and psi_weights[i] are the weighted masses each side puts
-    into interval i; their sum is capped by 4/n.
+    into interval i; their sum is capped by (4/n)(1 + CAP_SLACK).
     """
 
     edges: np.ndarray
@@ -89,9 +95,7 @@ class IntervalPartition:
             raise ValidationError("per-interval weights must match the interval count")
         if count > self.n:
             raise ValidationError(f"{count} intervals exceed the cap n = {self.n}")
-        cap = 4.0 / self.n
-        combined = pw + qw
-        if np.any(combined > cap * (1.0 + 1e-12)):
+        if np.any(pw + qw > 4.0 / self.n * (1.0 + CAP_SLACK)):
             raise ValidationError("an interval exceeds the combined weight cap 4/n")
 
     @property
@@ -108,17 +112,13 @@ class IntervalPartition:
 
     def interval_of(self, positions) -> np.ndarray:
         """Index of the interval containing each position (last interval closed)."""
-        return _interval_index(self.edges, positions)
+        pos = np.atleast_1d(np.asarray(positions, dtype=float))
+        return np.clip(np.searchsorted(self.edges, pos, side="right") - 1, 0, self.count - 1)
 
     def distance(self, i, j) -> np.ndarray:
         """Distance between intervals i and j (0 for adjacent or identical); broadcasts."""
         e = self.edges
         return np.maximum(0.0, np.maximum(e[j] - e[i + 1], e[i] - e[j + 1]))
-
-
-def _interval_index(edges: np.ndarray, positions) -> np.ndarray:
-    pos = np.atleast_1d(np.asarray(positions, dtype=float))
-    return np.clip(np.searchsorted(edges, pos, side="right") - 1, 0, edges.size - 2)
 
 
 def partition(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, n: int,
@@ -129,39 +129,35 @@ def partition(x: np.ndarray, cx: np.ndarray, y: np.ndarray, cy: np.ndarray, n: i
     coordinates weight * sqrt(mass); an atom weighs its coordinate squared.
     radius must cover both sides.  Sweeping atom positions in order, an
     interval is closed just before adding the next position would push its
-    combined weight above 4/n.  Every closed interval then carries weight
-    > 2/n (a single position carries < 2/n once heavy atoms are zeroed),
-    which forces the interval count <= n.  Raises PartitionInfeasibleError if
-    a single position exceeds the cap, which can only happen when the heavy
-    atoms were not zeroed.
+    combined weight above the cap (4/n)(1 + CAP_SLACK).  Every closed interval
+    then carries weight > 2/n (a single position carries < 2/n once heavy atoms
+    are zeroed), which forces the interval count <= n.  The cap is tested on
+    the two per-side sums that IntervalPartition adds and checks, so it accepts
+    every partition built here.  Raises PartitionInfeasibleError if a single
+    position exceeds the cap, which can only happen when the heavy atoms were
+    not zeroed.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    cap = 4.0 / n
-    phi_mass, psi_mass = np.square(cx), np.square(cy)
+    cap = 4.0 / n * (1.0 + CAP_SLACK)
     points, where = np.unique(np.r_[x, y], return_inverse=True)
-    contributions = np.zeros(points.size)
-    np.add.at(contributions, where, np.r_[phi_mass, psi_mass])
-
-    edges = [-float(radius)]
-    acc = 0.0
-    occupied = False
-    for pos, w in zip(points.tolist(), contributions.tolist()):
-        if w > cap:
+    # A side's positions are distinct: each bin holds one atom's weight, or 0.
+    per_side = [np.bincount(where[:x.size], np.square(cx), points.size).tolist(),
+                np.bincount(where[x.size:], np.square(cy), points.size).tolist()]
+    edges, closed, acc_x, acc_y = [-float(radius)], [], 0.0, 0.0
+    for pos, wx, wy in zip(points.tolist(), *per_side):
+        if wx + wy > cap:
             raise PartitionInfeasibleError(
-                f"single position at {pos!r} carries weight {w!r} > 4/n = {cap!r}; "
+                f"single position at {pos!r} carries weight {wx + wy!r} > 4/n = {4.0 / n!r}; "
                 "was heavy-atom masking skipped?"
             )
-        if occupied and acc + w > cap:
+        if (acc_x + wx) + (acc_y + wy) > cap:
             edges.append(float(pos))
-            acc = 0.0
-        acc += w
-        occupied = True
-    edges = np.asarray(edges + [float(radius)])
-    weights = [np.bincount(_interval_index(edges, positions), weights=mass,
-                           minlength=edges.size - 1)
-               for positions, mass in ((x, phi_mass), (y, psi_mass))]
-    return IntervalPartition(edges, *weights, n)
+            closed.append((acc_x, acc_y))
+            acc_x = acc_y = 0.0
+        acc_x += wx
+        acc_y += wy
+    return IntervalPartition(edges + [float(radius)], *zip(*closed, (acc_x, acc_y)), n)
 
 
 def split_blocks(part: IntervalPartition):
@@ -381,19 +377,23 @@ def _prepare(kop: WeightedKernelOperator):
     certify raises their ValidationError before it starts the SVD: the norms
     must be normal floats, the partition spans [-R, R], and the defect basis
     sums squares of at most sum((weight * sqrt(mass) * f / lip)^2) over a side.
+    A zero kernel's norms and their product must be finite too: verification
+    reads the product, which is otherwise nan (0 * inf).
     """
-    if kop.f.lip == 0.0 or kop.phi_norm == 0.0 or kop.psi_norm == 0.0:
-        radius, empty = kop.support_radius, np.empty(0, dtype=int)
-        return np.zeros((kop.mu.size, kop.nu.size)), lambda n: _record(
-            n, radius, 0.0, empty, empty,
-            IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
-            {"column": 0, "row": 0}, 0, np.zeros(3))
-    m = materialize(kop)
     a, b, lip, scale = kop.phi_norm, kop.psi_norm, kop.f.lip, kop.norm_product
-    if not (min(a, b, lip, scale) >= np.finfo(float).tiny and scale < math.inf):
+    zero = min(a, b, lip) == 0.0
+    m = np.zeros((kop.mu.size, kop.nu.size)) if zero else materialize(kop)
+    # scale < inf fails if any factor, or their product, is inf or nan.
+    if not (scale < math.inf and (zero or min(a, b, lip, scale) >= np.finfo(float).tiny)):
         raise ValidationError(f"||phi|| = {a!r}, ||psi|| = {b!r}, lip = {lip!r} or their "
                               f"product {scale!r} is outside the normal float range")
     radius = kop.support_radius
+    if zero:
+        empty = np.empty(0, dtype=int)
+        return m, lambda n: _record(
+            n, radius, 0.0, empty, empty,
+            IntervalPartition(np.array([-radius, radius]), np.zeros(1), np.zeros(1), n),
+            {"column": 0, "row": 0}, 0, np.zeros(3))
     if not math.isfinite(2.0 * radius):
         raise ValidationError(f"support window [-{radius!r}, {radius!r}] is wider than the "
                               "float range")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from .certificate import certify
 from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
@@ -21,7 +21,7 @@ from .errors import SoundnessError, ValidationError, json_text, parse_json, read
 from .functions import function_from_spec
 from .linalg import eigh_symmetric, matrix_text, read_matrix
 from .measures import read_kernel_operator
-from .sweeps import FORMATS, emit_report, load_config, run_sweep
+from .sweeps import emit_report, load_config, run_sweep
 
 # The failure exit codes; main is the only code that returns them.
 EXIT_INVALID = 2
@@ -81,13 +81,11 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {"seed": args.seed, "out": args.out, "format": args.format}
-    cfg = replace(load_config(args.config),
-                  **{name: value for name, value in overrides.items() if value is not None})
+    cfg = load_config(args.config)
     report = run_sweep(cfg)
-    if cfg.out:
-        emit_report(report, cfg.out, cfg.format)
-        print(f"wrote {cfg.out}")
+    if args.out:
+        emit_report(report, args.out, cfg.format)
+        print(f"wrote {args.out}")
     else:
         print(json_text(report.summary), end="")
     return 0
@@ -125,9 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run an experiment sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--out", help="override the config output path")
-    p.add_argument("--format", choices=FORMATS, help="override the config format")
+    p.add_argument("--out", help="report path (default: the JSON summary on stdout)")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

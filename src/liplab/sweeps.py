@@ -58,7 +58,6 @@ class SweepConfig:
     p: float | None = None
     epsilon: float | None = None
     n_values: tuple = DEFAULT_N_VALUES
-    out: str | None = None
     format: str = "csv"
     emit_curves: bool = False
 
@@ -84,8 +83,6 @@ class SweepConfig:
             raise ValidationError("interp sweep requires p >= 1 and epsilon > 0")
         if self.format not in FORMATS:
             raise ValidationError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.out is not None:
-            checked(self.out, str, "out")
         checked(self.emit_curves, bool, "emit_curves")
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from liplab.certificate import DEFECT_ANGLE_TOL, IntervalPartition, partition
+from liplab.certificate import CAP_SLACK, DEFECT_ANGLE_TOL, IntervalPartition, partition
 from liplab.errors import ValidationError
 from liplab.functions import LipschitzFunction
 from liplab.linalg import frobenius
@@ -195,8 +195,10 @@ def dense_certificate(kop: WeightedKernelOperator, n: int) -> dict:
     }
 
 
-# Relative margin within which an exact decision counts as a tie that rounding may flip.
-TIE = Fraction(1, 10**12)
+# Relative margin within which an exact decision counts as a tie that rounding may flip:
+# far above the rounding of the small sums replayed here (about 1e-15), and below
+# the partition's CAP_SLACK, so an interval weighing exactly 4/n is not a tie.
+TIE = Fraction(1, 10**13)
 
 
 def _near(lhs: Fraction, rhs: Fraction) -> bool:
@@ -207,7 +209,7 @@ def exact_heavy(coordinates, n: int):
     """(heavy, ties): the atoms with n * c_i^2 >= sum(c^2), in exact arithmetic.
 
     coordinates are weight * sqrt(mass) before normalization, taken exactly as
-    Fractions; ties are the atoms whose two sides differ by at most 1e-12
+    Fractions; ties are the atoms whose two sides differ by at most TIE
     relative, where the library's rounded normalization may decide either way.
     """
     squares = [Fraction(float(c)) ** 2 for c in coordinates]
@@ -218,13 +220,13 @@ def exact_heavy(coordinates, n: int):
 
 
 def exact_edges(x, cx, heavy_x, y, cy, heavy_y, n: int, radius: float):
-    """(edges, settled): the greedy 4/n partition of [-radius, radius], in exact arithmetic.
+    """(edges, settled): the greedy partition of [-radius, radius], in exact arithmetic.
 
     An atom weighs c_i^2 / sum(c^2) over its side, 0 if heavy; the positions
     are swept in order, and an interval is closed before the position whose
-    weight would push it above 4/n.  edges[:settled] were fixed before the
-    first close decision within 1e-12 relative of the cap, which rounding may
-    flip; settled is len(edges) if there is none.
+    weight would push it above the library's cap (4/n)(1 + CAP_SLACK).
+    edges[:settled] were fixed before the first close decision within TIE of
+    that cap, which rounding may flip; settled is len(edges) if there is none.
     """
     weight: dict = {}
     for positions, coordinates, heavy in ((x, cx, heavy_x), (y, cy, heavy_y)):
@@ -232,15 +234,14 @@ def exact_edges(x, cx, heavy_x, y, cy, heavy_y, n: int, radius: float):
         total = sum(squares)
         for i, (pos, s) in enumerate(zip(positions, squares)):
             weight[float(pos)] = weight.get(float(pos), 0) + (0 if i in heavy else s / total)
-    cap = Fraction(4, n)
-    edges, acc, occupied, settled = [-float(radius)], Fraction(0), False, None
+    cap = Fraction(4, n) * (1 + Fraction(CAP_SLACK))
+    edges, acc, settled = [-float(radius)], Fraction(0), None
     for pos in sorted(weight):
-        if occupied and settled is None and _near(acc + weight[pos], cap):
+        if settled is None and _near(acc + weight[pos], cap):
             settled = len(edges)
-        if occupied and acc + weight[pos] > cap:
+        if acc + weight[pos] > cap:
             edges.append(pos)
             acc = Fraction(0)
         acc += weight[pos]
-        occupied = True
     edges.append(float(radius))
     return edges, len(edges) if settled is None else settled

@@ -272,6 +272,23 @@ def test_certify_zero_kernel_wider_than_the_float_range(tmp_path, capsys):
     assert set(record["components"].values()) == {0.0}
 
 
+@pytest.mark.parametrize("operator", [
+    # phi = 0; psi's norm overflows (1e200 at mass 1e300).
+    'MU\n0.0 1.0 0.0\n1.0 1.0 0.0\nNU\n0.5 1e300 1e200\n2.0 1.0 3.0\nFUNCTION\n{"kind": "abs"}\n',
+    # lip = 0; phi's norm overflows.
+    'MU\n0.0 1e300 1e200\n1.0 1.0 0.0\nNU\n0.5 1.0 1.0\n2.0 1.0 3.0\n'
+    'FUNCTION\n{"kind": "constant", "c": 1.0}\n',
+    # lip = 0; both norms are finite, their product is not.
+    'MU\n0.0 1.0 1e200\nNU\n0.5 1.0 1e200\nFUNCTION\n{"kind": "constant", "c": 1.0}\n',
+], ids=["phi_zero", "lip_zero", "finite_norms"])
+def test_certify_zero_kernel_with_an_overflowing_norm_exits_2(tmp_path, capsys, operator):
+    # Verification reads the norm product, 0 * inf = nan here: the operator is
+    # rejected as input, not reported unsound.
+    (tmp_path / "kop.txt").write_text(operator)
+    assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "1,2"]) == 2
+    assert "outside the normal float range" in capsys.readouterr().err
+
+
 def test_bad_n_rejected_before_materializing(materialize_calls):
     kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
     with pytest.raises(ValidationError):
@@ -639,22 +656,22 @@ def test_cli_fuzz_exits_0_2_or_3(call):
 def test_sweep_command_deterministic(tmp_path):
     cfg = {"experiment": "rank_one", "dimensions": [4, 6], "ensemble": 2, "seed": 3,
            "function": {"kind": "abs"}}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out1 = tmp_path / "r1.csv"
-    out2 = tmp_path / "r2.csv"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    # Seed override changes the bytes.
-    out3 = tmp_path / "r3.csv"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out3), "--seed", "4"]) == 0
-    assert out1.read_bytes() != out3.read_bytes()
-    # JSON format override.
-    out4 = tmp_path / "r.json"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(out4),
-                 "--format", "json"]) == 0
-    json.loads(out4.read_text())
+
+    def sweep(name, **fields):
+        cfg_path, out = tmp_path / f"{name}.json", tmp_path / name
+        cfg_path.write_text(json.dumps({**cfg, **fields}))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert sweep("r1.csv") == sweep("r2.csv")
+    # The config's seed sets the ensemble, and its format the encoding.
+    assert sweep("r3.csv", seed=4) != sweep("r1.csv")
+    assert json.loads(sweep("r.json", format="json"))["experiment"] == "rank_one"
+    # Each setting has one home: the seed and the format are not flags.
+    for flag in ("--seed", "--format"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(tmp_path / "r1.csv.json"), flag, "4"])
+        assert exc.value.code == 2
 
 
 def test_sweep_bad_config(tmp_path, monkeypatch):
@@ -665,7 +682,7 @@ def test_sweep_bad_config(tmp_path, monkeypatch):
     cfg_path.write_text(json.dumps({"experiment": "rank_one", "dimensions": 5, "ensemble": 1,
                                     "seed": 0, "function": {"kind": "abs"}}))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
-    # out must be a path string.
+    # The output path is --out's, not a config field: "out" is an unknown field.
     cfg_path.write_text(json.dumps({"experiment": "rank_one", "dimensions": [4], "ensemble": 1,
                                     "seed": 0, "function": {"kind": "abs"}, "out": 3.5}))
     assert main(["sweep", "--config", str(cfg_path)]) == 2

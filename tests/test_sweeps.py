@@ -56,7 +56,9 @@ def test_config_validation():
         load_config(dict(BASE, bogus_field=1))
     for bad in ({"dimensions": 5}, {"n_values": 4}, {"ensemble": "x"}, {"seed": "abc"},
                 {"dimensions": [4, None]}, {"experiment": "interp", "p": "x", "epsilon": 0.5},
-                {"out": 1}, {"out": 3.5}, {"emit_curves": "no"},
+                {"emit_curves": "no"},
+                # The output path is a CLI setting (--out), not a config field.
+                {"out": 1}, {"out": 3.5}, {"out": "report.csv"},
                 # A function kind that is not a string, and fields no constructor takes.
                 {"function": {"kind": ["abs"]}}, {"function": {"kind": {"abs": 1}}},
                 {"function": {"kind": "smooth_ramp", "delat": 0.5}},
