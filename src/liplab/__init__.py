@@ -8,7 +8,7 @@ kernel operators on discrete measures.
 
 from .certificate import (IntervalPartition, WeakDecayCertificate, build_certificate, certify,
                           flat_bound, partition, split_blocks, verify_certificate)
-from .doi import check_birman_solomyak, doi_apply, f_delta, rank_one_perturb
+from .doi import check_birman_solomyak, doi_apply, rank_one_perturb
 from .errors import (CertificateUnsoundError, ConvergenceError, PartitionInfeasibleError,
                      SoundnessError, ValidationError)
 from .functions import (LipschitzFunction, absolute_value, apply_function, clamp_function,

@@ -6,7 +6,8 @@ the data, a matrix no decomposition meets its contract on, a contract beyond
 the float range), 3 a SoundnessError (certificate unsound, a Birman-Solomyak
 residual out of contract, or the S2 Schur-multiplier bound violated).  The
 library raises; main alone maps its errors to exit codes.  Progress lines go
-to stderr, so a report printed to stdout is the whole of stdout.
+to stderr, so a report printed to stdout is the whole of stdout.  fdelta
+prints f(A) - f(B) only once it has passed bscheck's residual check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from dataclasses import asdict
 
 from .certificate import certify
-from .doi import bs_residual_bound, check_birman_solomyak, doi_apply, f_delta
+from .doi import birman_solomyak_delta, bs_residual_bound, check_birman_solomyak, doi_apply
 from .errors import SoundnessError, ValidationError, json_text, parse_json, read_json, write_text
 from .functions import function_from_spec
 from .linalg import eigh_symmetric, matrix_text, read_matrix
@@ -48,7 +49,8 @@ def _output(text: str, out, what: str) -> int:
 
 
 def _cmd_fdelta(args) -> int:
-    return _output(matrix_text(f_delta(*_inputs(args))), args.out, "matrix file")
+    delta = birman_solomyak_delta(*_inputs(args))[0]
+    return _output(matrix_text(delta), args.out, "matrix file")
 
 
 def _cmd_doi(args) -> int:
@@ -101,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     matrices.add_argument("a", help="matrix file for A")
     matrices.add_argument("b", help="matrix file for B")
 
-    p = sub.add_parser("fdelta", parents=[matrices], help="compute f(A) - f(B) from matrix files")
+    p = sub.add_parser("fdelta", parents=[matrices],
+                       help="compute and check f(A) - f(B) from matrix files")
     p.add_argument("--out", help="output matrix file (default: stdout)")
     p.set_defaults(func=_cmd_fdelta)
 

@@ -12,7 +12,7 @@ f(A) - f(B) exactly (Birman and Solomyak).
 eigenbasis_product computes L o X from the two spectra and X alone, taking
 L one row block at a time from functions.loewner_blocks, so L is never held
 whole; every path here goes through it: doi_apply conjugates it back,
-birman_solomyak_delta compares its conjugate with f(A) - f(B), and a caller
+birman_solomyak_delta checks f(A) - f(B) against its conjugate, and a caller
 that reads only singular values takes them from L o X itself, since
 s(U (L o X) V^T) = s(L o X).  Such a caller needs a frame only until it has
 been multiplied into X.
@@ -84,31 +84,6 @@ def _require_shape(name: str, m: np.ndarray, shape: tuple) -> None:
         raise ValidationError(f"{name} has shape {m.shape}, expected {shape} from the spectra")
 
 
-def _operator_pair(f: LipschitzFunction, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """A and B symmetrized; ValidationError unless shapes match and f(A) - f(B) fits the floats.
-
-    Every entry of f(A) is at most ||f(A)||_2 <= |f(0)| + lip ||A||_F in size, and
-    apply_function's symmetrization and the difference each at most double an entry.
-    """
-    ma = as_symmetric(a)
-    mb = as_symmetric(b)
-    if ma.shape != mb.shape:
-        raise ValidationError(f"A and B must share a dimension, got {ma.shape} and {mb.shape}")
-    f0 = float(f.at(np.zeros(1), "x =")[0])
-    bound = 2.0 * (abs(f0) + f.lip * max(frobenius(ma), frobenius(mb)))
-    if not math.isfinite(bound):
-        raise ValidationError("f(A) - f(B) may exceed the float range")
-    return ma, mb
-
-
-def f_delta(f: LipschitzFunction, a, b) -> np.ndarray:
-    """f(A) - f(B) by spectral calculus on each operator."""
-    ma, mb = _operator_pair(f, a, b)
-    delta = apply_function(f, eigh_symmetric(ma))
-    delta -= apply_function(f, eigh_symmetric(mb))
-    return delta
-
-
 def bs_residual_bound(a, b, lip: float) -> float:
     """The identity residual's contract, 0.0 at lip = 0; ValidationError beyond the float range."""
     bound = BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip) if lip else 0.0
@@ -122,17 +97,30 @@ def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
                           dec_b: SpectralDecomposition | None = None) -> tuple[np.ndarray, float]:
     """f(A) - f(B) and its Frobenius residual against the double operator integral.
 
-    The identity is exact in exact arithmetic, so the residual measures only
-    rounding; above bs_residual_bound(a, b, f.lip) it raises SoundnessError.
-    At lip = 0 the integral is identically 0 and the residual is only frame
-    rounding, so no contract applies.  Precomputed decompositions may be
-    passed to avoid repeated eigendecompositions.
+    This is liplab's one f(A) - f(B), two spectral calculi subtracted, and
+    every caller gets it checked.  The identity is exact in exact arithmetic,
+    so the residual measures only rounding; above bs_residual_bound(a, b,
+    f.lip) it raises SoundnessError.  At lip = 0 the integral is identically
+    0 and the residual is only frame rounding, so no contract applies.
+    Precomputed decompositions may be passed to avoid repeated
+    eigendecompositions.
 
     A - B is formed only as a temporary inside X = U^T (A - B) V, and f(A) -
     f(B) is subtracted from the integral in place, so besides A, B and the
     frames the working set holds f(A) - f(B) and one product at a time.
+
+    A and B are symmetrized first.  ValidationError unless their shapes match
+    and f(A) - f(B) fits the floats: every entry of f(A) is at most ||f(A)||_2 <=
+    |f(0)| + lip ||A||_F in size, and apply_function's symmetrization and the
+    difference each at most double an entry.
     """
-    ma, mb = _operator_pair(f, a, b)
+    ma = as_symmetric(a)
+    mb = as_symmetric(b)
+    if ma.shape != mb.shape:
+        raise ValidationError(f"A and B must share a dimension, got {ma.shape} and {mb.shape}")
+    f0 = float(f.at(np.zeros(1), "x =")[0])
+    if not math.isfinite(2.0 * (abs(f0) + f.lip * max(frobenius(ma), frobenius(mb)))):
+        raise ValidationError("f(A) - f(B) may exceed the float range")
     bound = bs_residual_bound(a, b, f.lip)
     t_norm = frobenius(ma - mb)
     da = dec_a if dec_a is not None else eigh_symmetric(ma)

@@ -51,6 +51,21 @@ def test_fdelta_stdout(matrices, capsys):
     assert lines[0] == "2 2"
 
 
+def test_fdelta_residual_out_of_contract_exits_3(tmp_path, capsys):
+    # Each f(lambda) = lambda + 1e16 rounds to an even integer, so the two
+    # spectral calculi subtract to diag(0, -2, -4), not A - B = diag(0, -1, -2).
+    # The Birman-Solomyak check that bscheck runs rejects that matrix.
+    write_matrix(tmp_path / "A.txt", np.eye(3))
+    write_matrix(tmp_path / "B.txt", np.diag([1.0, 2.0, 3.0]))
+    out = tmp_path / "D.txt"
+    assert main(["fdelta", "--function", '{"kind": "shifted_abs", "t": -1e16}',
+                 str(tmp_path / "A.txt"), str(tmp_path / "B.txt"), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("unsound: Birman-Solomyak residual out of contract: observed ")
+    assert not out.exists()
+
+
 def test_doi_command(matrices):
     out = matrices / "q.txt"
     code = main(["doi", "--function", '{"kind": "abs"}', str(matrices / "A.txt"),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liplab.doi import birman_solomyak_delta, doi_apply, f_delta
+from liplab.doi import birman_solomyak_delta, doi_apply
 from liplab.errors import ConvergenceError, ValidationError
 from liplab.functions import absolute_value
 from liplab.ideals import singular_spectrum
@@ -219,7 +219,7 @@ def test_as_symmetric_returns_an_exactly_symmetric_in_range_matrix_itself():
         as_symmetric(np.array([[np.finfo(float).max, 0.0], [0.0, 1.0]]))
 
 
-@pytest.mark.parametrize("call", [eigh_symmetric, f_delta, birman_solomyak_delta, doi_apply])
+@pytest.mark.parametrize("call", [eigh_symmetric, birman_solomyak_delta, doi_apply])
 def test_array_arguments_are_left_unchanged(call):
     rng = make_rng(44)
     f = absolute_value()
