@@ -6,7 +6,8 @@ the data, a matrix no decomposition meets its contract on, a contract beyond
 the float range), 3 a SoundnessError (certificate unsound, a Birman-Solomyak
 residual out of contract, or the S2 Schur-multiplier bound violated).  The
 library raises; main alone maps its errors to exit codes.  Progress lines go
-to stderr, so a report printed to stdout is the whole of stdout.  fdelta
+to stderr, so a report printed to stdout is the whole of stdout.  fdelta, doi
+and bscheck read A and B as their symmetric parts (as_symmetric); fdelta
 prints f(A) - f(B) only once it has passed bscheck's residual check.
 """
 
@@ -20,7 +21,7 @@ from .certificate import certify
 from .doi import birman_solomyak_delta, bs_residual_bound, check_birman_solomyak, doi_apply
 from .errors import SoundnessError, ValidationError, json_text, parse_json, read_json, write_text
 from .functions import function_from_spec
-from .linalg import eigh_symmetric, matrix_text, read_matrix
+from .linalg import as_symmetric, eigh_symmetric, matrix_text, read_matrix
 from .measures import read_kernel_operator
 from .sweeps import emit_report, load_config, run_sweep
 
@@ -36,8 +37,9 @@ def _load_function(arg: str):
 
 
 def _inputs(args):
-    """f, A and B of a matrix subcommand, loaded in that order."""
-    return _load_function(args.function), read_matrix(args.a), read_matrix(args.b)
+    """f and the symmetric parts of A and B of a matrix subcommand, loaded in that order."""
+    return (_load_function(args.function), as_symmetric(read_matrix(args.a)),
+            as_symmetric(read_matrix(args.b)))
 
 
 def _output(text: str, out, what: str) -> int:

@@ -85,7 +85,7 @@ def _require_shape(name: str, m: np.ndarray, shape: tuple) -> None:
 
 
 def bs_residual_bound(a, b, lip: float) -> float:
-    """The identity residual's contract, 0.0 at lip = 0; ValidationError beyond the float range."""
+    """The residual contract at the symmetric pair a, b: 0.0 at lip = 0, ValidationError if inf."""
     bound = BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip) if lip else 0.0
     if not math.isfinite(bound):
         raise ValidationError("the Birman-Solomyak contract exceeds the float range")
@@ -99,10 +99,10 @@ def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
 
     This is liplab's one f(A) - f(B), two spectral calculi subtracted, and
     every caller gets it checked.  The identity is exact in exact arithmetic,
-    so the residual measures only rounding; above bs_residual_bound(a, b,
-    f.lip) it raises SoundnessError.  At lip = 0 the integral is identically
-    0 and the residual is only frame rounding, so no contract applies.
-    Precomputed decompositions may be passed to avoid repeated
+    so the residual measures only rounding; above bs_residual_bound of the
+    symmetric parts it raises SoundnessError.  At lip = 0 the integral is
+    identically 0 and the residual is only frame rounding, so no contract
+    applies.  Precomputed decompositions may be passed to avoid repeated
     eigendecompositions.
 
     A - B is formed only as a temporary inside X = U^T (A - B) V, and f(A) -
@@ -121,7 +121,7 @@ def birman_solomyak_delta(f: LipschitzFunction, a, b, *,
     f0 = float(f.at(np.zeros(1), "x =")[0])
     if not math.isfinite(2.0 * (abs(f0) + f.lip * max(frobenius(ma), frobenius(mb)))):
         raise ValidationError("f(A) - f(B) may exceed the float range")
-    bound = bs_residual_bound(a, b, f.lip)
+    bound = bs_residual_bound(ma, mb, f.lip)
     t_norm = frobenius(ma - mb)
     da = dec_a if dec_a is not None else eigh_symmetric(ma)
     db = dec_b if dec_b is not None else eigh_symmetric(mb)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError, checked, constructed
-from .linalg import SpectralDecomposition, row_blocks
+from .linalg import SpectralDecomposition, as_symmetric, row_blocks
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +180,8 @@ def loewner_blocks(f: LipschitzFunction, xs, ys):
 
 
 def apply_function(f: LipschitzFunction, dec: SpectralDecomposition) -> np.ndarray:
-    """Spectral calculus f(A) = frame diag(f(lambda)) frame^T, symmetrized."""
-    m = (dec.frame * f.at(dec.eigenvalues, "eigenvalue")) @ dec.frame.T
-    m = m + m.T
-    m *= 0.5
-    return m
+    """Spectral calculus f(A) = frame diag(f(lambda)) frame^T, made symmetric by as_symmetric.
+
+    The result is a new array, which the caller may write to.
+    """
+    return as_symmetric((dec.frame * f.at(dec.eigenvalues, "eigenvalue")) @ dec.frame.T)

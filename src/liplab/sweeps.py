@@ -7,12 +7,12 @@ per-dimension maxima.  Bounded ratios across dimensions are the empirical
 signature of the dimension-free inequalities this package studies.  Identical
 configs (including the seed) produce byte-identical reports.
 
-run_sweep is the only loop.  It builds f once, pins BLAS to one thread and runs
-the (size, instance) pairs on every available core, in forked worker processes
-that get f by value.  An experiment is one instance function
-(rng, f, dim, cfg) -> (row, spectrum), whose row keys in order are the report's
-columns after instance, size and function, plus one _EXPERIMENTS entry naming
-its summary and its size label.
+SweepConfig builds f once per sweep.  run_sweep is the only loop: it pins BLAS
+to one thread and runs the (size, instance) pairs on every available core, in
+forked worker processes that get the config, f included, by value.  An
+experiment is one instance function (rng, f, dim, cfg) -> (row, spectrum),
+whose row keys in order are the report's columns after instance, size and
+function, plus one _EXPERIMENTS entry naming its summary and its size label.
 liplab.doi checks the DOI contracts and liplab.certificate verifies
 certificates; a broken one ends the sweep as a soundness failure, which the CLI
 turns into exit 3, also when a worker raised it.
@@ -50,6 +50,8 @@ MAX_ENSEMBLE = 1 << 16
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's checked settings, and f, its function, built here once (not an argument)."""
+
     experiment: str
     dimensions: tuple
     ensemble: int
@@ -60,6 +62,7 @@ class SweepConfig:
     n_values: tuple = DEFAULT_N_VALUES
     format: str = "csv"
     emit_curves: bool = False
+    f: LipschitzFunction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -74,7 +77,7 @@ class SweepConfig:
             raise ValidationError(f"ensemble size must be in [1, {MAX_ENSEMBLE}], "
                                   f"got {self.ensemble}")
         object.__setattr__(self, "seed", checked(self.seed, int, "seed"))
-        function_from_spec(self.function)  # validate early
+        object.__setattr__(self, "f", function_from_spec(self.function))
         interp = self.experiment == "interp"
         for name in ("p", "epsilon"):  # interp requires both; any experiment checks their type
             if interp or getattr(self, name) is not None:
@@ -299,12 +302,9 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
                             exp.summary(rows, cfg.dimensions), curves)
 
 
-def _instance(cfg: SweepConfig, f: LipschitzFunction, size: int, idx: int):
-    """One pair's report row, and its spectrum if the pair draws a decay curve (else None).
-
-    f is the sweep's function, which _run_instances builds once; no pair rebuilds it.
-    """
-    exp = _EXPERIMENTS[cfg.experiment]
+def _instance(cfg: SweepConfig, size: int, idx: int):
+    """One pair's report row, and its spectrum if the pair draws a decay curve (else None)."""
+    exp, f = _EXPERIMENTS[cfg.experiment], cfg.f
     row, spectrum = exp.instance(make_rng(cfg.seed, _TAG[cfg.experiment], size, idx), f, size, cfg)
     return ({"instance": idx, exp.size: size, "function": f.name, **row},
             spectrum if cfg.emit_curves and idx == 0 else None)
@@ -313,7 +313,7 @@ def _instance(cfg: SweepConfig, f: LipschitzFunction, size: int, idx: int):
 def _run_instances(cfg: SweepConfig) -> list:
     """_instance of every (size, instance) pair of cfg, sizes outermost.
 
-    f is built from cfg.function once, here, and each pair gets it by value.
+    Each pair gets cfg, and with it the function cfg built, by value.
     The loaded BLAS is pinned to one thread for the whole sweep, and the
     caller's thread count is restored afterwards.  With more than one pair and
     more than one available core, the pairs run in a pool of forked workers,
@@ -327,7 +327,6 @@ def _run_instances(cfg: SweepConfig) -> list:
     oversubscribe the cores and run slower than this process alone.  Otherwise
     the pairs run here.
     """
-    f = function_from_spec(cfg.function)
     pairs = [(size, idx) for size in cfg.dimensions for idx in range(cfg.ensemble)]
     threads = _openblas_threads()
     workers = 1 if threads is None else min(len(pairs), _cores())
@@ -336,10 +335,8 @@ def _run_instances(cfg: SweepConfig) -> list:
     set_threads(1)
     try:
         if workers == 1:
-            return [_instance(cfg, f, *pair) for pair in pairs]
+            return [_instance(cfg, *pair) for pair in pairs]
         # Imported here: a pool is not needed to import liplab, and they cost import time.
-        # numpy.random and ThreadPoolExecutor are not used here: imported before the fork,
-        # every worker inherits them instead of loading them on its first instance.
         import numpy.random  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor  # noqa: F401
         from multiprocessing import get_context
@@ -347,7 +344,7 @@ def _run_instances(cfg: SweepConfig) -> list:
         pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
         try:
             largest_first = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
-            futures = {i: pool.submit(_instance, cfg, f, *pairs[i]) for i in largest_first}
+            futures = {i: pool.submit(_instance, cfg, *pairs[i]) for i in largest_first}
             return [futures[i].result() for i in range(len(pairs))]
         finally:
             pool.shutdown(cancel_futures=True)

@@ -8,6 +8,7 @@ path lives on here as the oracle it must agree with.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -245,3 +246,22 @@ def exact_edges(x, cx, heavy_x, y, cy, heavy_y, n: int, radius: float):
         acc += weight[pos]
     edges.append(float(radius))
     return edges, len(edges) if settled is None else settled
+
+
+def exact_defect_rank(positions, coordinates, heavy, fvalues, edges) -> int:
+    """The rank of one side's Taylor defects over the partition edges, counted exactly.
+
+    On each interval the defects are c and c * f, with c the coordinates of
+    the interval's light atoms (those not in heavy) and f the values there.
+    Over the atoms with a nonzero coordinate, c * f is a multiple of c exactly
+    when f is constant on them, so the interval adds its number of distinct f
+    values there, capped at 2 (none if every coordinate is 0).  An atom lies
+    in interval k when exactly k interior edges are at or below it, as in
+    IntervalPartition.interval_of.
+    """
+    interior = [float(e) for e in edges[1:-1]]
+    values: dict = {}
+    for i, (pos, c, fv) in enumerate(zip(positions, coordinates, fvalues)):
+        if c != 0.0 and i not in heavy:
+            values.setdefault(bisect_right(interior, float(pos)), set()).add(Fraction(float(fv)))
+    return sum(min(2, len(v)) for v in values.values())

@@ -21,9 +21,9 @@ from liplab.linalg import frobenius
 from liplab.measures import (DiscreteMeasure, kernel_operator, materialize,
                              read_kernel_operator)
 from liplab.rng import make_rng, random_kernel_operator
-from oracles import (correction_ratios, dense_certificate, diag_block_hs, exact_edges,
-                     exact_heavy, lower_corrected_matrix, masked_operator, orthonormal_columns,
-                     taylor_defects, upper_corrected_matrix)
+from oracles import (correction_ratios, dense_certificate, diag_block_hs, exact_defect_rank,
+                     exact_edges, exact_heavy, lower_corrected_matrix, masked_operator,
+                     orthonormal_columns, taylor_defects, upper_corrected_matrix)
 
 
 def masked_instance(seed, atoms, n, f=None):
@@ -141,15 +141,20 @@ def test_heavy_sets_and_partition_edges_replay_exactly():
     # heavy sets, and its edges are compared up to the first tied decision.
     # Without heavy atoms at n = 2 both sides weigh exactly 4/n = 2 together;
     # the cap's slack keeps that one interval in both sweeps, so it is no tie.
+    # Each certificate's defect rank, less its heavy atoms and n, is replayed
+    # too, on its own heavy sets and edges, for abs and for a pwl with kinks
+    # at -1, 0 and 1 (the heavy sets and edges do not depend on f).
     rng = make_rng(24, 13)
     checked = ties = heavy = split = 0
-    for _ in range(60):
+    rank_mismatches = []
+    for case in range(60):
         args = []
         for count in rng.integers(1, 41, size=2).tolist():
             args += [rng.choice(np.arange(-64, 65), size=count, replace=False) / 8.0,
                      (rng.integers(1, 9, size=count) / 4.0) ** 2,
                      rng.integers(-8, 9, size=count) / 4.0]
         kop = kernel_operator(*args, absolute_value())
+        kop_pwl = kernel_operator(*args, piecewise_linear([-1.0, 0.0, 1.0], 7))
         cx, cy = kop.mu.coordinates(kop.phi), kop.nu.coordinates(kop.psi)
         if not (np.any(cx) and np.any(cy)):
             continue
@@ -169,8 +174,18 @@ def test_heavy_sets_and_partition_edges_replay_exactly():
                 heavy += bool(hx or hy)
                 split += len(edges) > 3
             ties += bool(tx or ty) or settled < len(edges)
+            for op, c in ((kop, cert), (kop_pwl, build_certificate(kop_pwl, n))):
+                light_rank = c.defect_rank - c.heavy_x.size - c.heavy_y.size - n
+                exact_rank = sum(
+                    exact_defect_rank(side.positions, coords, set(side_heavy.tolist()),
+                                      op.f.at(side.positions, "an atom"), c.partition.edges)
+                    for side, coords, side_heavy in ((op.mu, cx, c.heavy_x), (op.nu, cy, c.heavy_y)))
+                if light_rank != exact_rank:
+                    rank_mismatches.append(f"case {case}, {op.f.name}, n = {n}: rank {light_rank} "
+                                           f"beyond the heavy atoms and n, exactly {exact_rank}")
     # 240 cases: all replay their edges in full, and 2 have a heavy-set tie (at n = 1).
     assert (checked, ties) == (240, 2) and heavy >= 20 and split >= 20
+    assert rank_mismatches == []
 
 
 # --------------------------------------------------------------------- mask

@@ -20,10 +20,11 @@ from liplab.cli import main
 from liplab.errors import ValidationError, json_text
 from liplab.functions import absolute_value, constant_function, function_from_spec, smooth_ramp
 from liplab.ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
-from liplab.linalg import read_matrix, write_matrix
+from liplab.linalg import as_symmetric, read_matrix, write_matrix
 from liplab.measures import kernel_operator, materialize, write_kernel_operator
 from liplab.rng import make_rng, random_kernel_operator
 from test_certificate import fail_svd_off_main_thread
+from test_doi import asymmetric_pair
 from test_sweeps import GOLDEN_DIR, assert_matches_golden
 
 
@@ -79,6 +80,40 @@ def test_bscheck_ok(matrices, capsys):
                  str(matrices / "A.txt"), str(matrices / "B.txt")])
     assert code == 0
     assert "OK" in capsys.readouterr().out
+
+
+_2X2 = (np.array([[0.0, 1e10], [-1e10, 1.0]]), np.eye(2))
+
+
+@pytest.mark.parametrize("command", ["fdelta", "doi", "bscheck"])
+@pytest.mark.parametrize("pair, spec, codes", [
+    # A's antisymmetric part (1e10) must not enter the contract, which on its
+    # symmetric part diag(0, 1) against I2 is 3.414213562373095e-08.
+    (_2X2, {"kind": "abs"}, {"fdelta": 0, "doi": 0, "bscheck": 0}),
+    # ROADMAP item 2's false exit 3 (residual 2.9e-7 against 8.3e-8), reached the
+    # same way from either file; the norm of A + K itself would allow 3.5e-6.
+    (asymmetric_pair(), {"kind": "shifted_abs", "t": -1e8}, {"fdelta": 3, "doi": 0, "bscheck": 3}),
+], ids=["2x2", "d6"])
+def test_matrix_commands_read_the_symmetric_parts(tmp_path, capsys, command, pair, spec, codes):
+    # A and its symmetric part give the same stdout, stderr and exit code.
+    a, b = pair
+    write_matrix(tmp_path / "A.txt", a)
+    write_matrix(tmp_path / "S.txt", as_symmetric(a))
+    write_matrix(tmp_path / "B.txt", b)
+    write_matrix(tmp_path / "T.txt", np.ones_like(b))
+    t = [str(tmp_path / "T.txt")] if command == "doi" else []
+    results = []
+    for name in ("A.txt", "S.txt"):
+        code = main([command, "--function", json.dumps(spec), str(tmp_path / name),
+                     str(tmp_path / "B.txt"), *t])
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert code == codes[command]
+    if command == "bscheck" and code == 0:
+        assert out.splitlines()[1] == "contract 3.414213562373095e-08"
+    if code == 3:
+        assert out == "" and err.startswith("unsound: Birman-Solomyak residual out of contract")
 
 
 def test_function_spec_from_file(matrices):

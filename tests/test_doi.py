@@ -9,9 +9,9 @@ from liplab.doi import (birman_solomyak_delta, bs_residual_bound, check_birman_s
                         doi_apply, eigenbasis_product, rank_one_perturb)
 from liplab.errors import CertificateUnsoundError, SoundnessError, ValidationError
 from liplab.functions import (LipschitzFunction, absolute_value, apply_function, constant_function, default_suite,
-                              identity_function, piecewise_linear)
+                              identity_function, piecewise_linear, shifted_absolute)
 from liplab.ideals import schatten_norm, singular_spectrum
-from liplab.linalg import SpectralDecomposition, eigh_symmetric, frobenius
+from liplab.linalg import SpectralDecomposition, as_symmetric, eigh_symmetric, frobenius
 from liplab.rng import make_rng, random_orthogonal, random_symmetric, random_unit
 
 
@@ -126,7 +126,7 @@ def test_s2_guard_catches_a_loewner_matrix_beyond_lip(monkeypatch):
         cfg = sweeps.load_config({"experiment": experiment, "dimensions": [6], "ensemble": 1,
                                   "seed": 3, "function": {"kind": "abs"}})
         with pytest.raises(SoundnessError, match="S2"):
-            sweeps._instance(cfg, f, 6, 0)
+            sweeps._instance(cfg, 6, 0)
 
 
 def test_doi_well_defined_under_eigenbasis_rotation():
@@ -253,6 +253,38 @@ def test_rank_one_perturb_examples():
         rank_one_perturb(a, np.zeros(4), 1.0)
     with pytest.raises(ValidationError, match="u must have length 4"):
         rank_one_perturb(a, np.ones(3), 1.0)
+
+
+def asymmetric_pair():
+    """(A + K, B): ROADMAP item 2's d = 6 GOE draws A and B, each (g + g^T) / 2 from
+    np.random.default_rng(1), and K = 50 (k - k^T) with k the generator's next draw.
+
+    At shifted_abs t = -1e8 the residual on this pair exceeds the contract of
+    the symmetric parts (item 2's false exit 3), but not that of A + K itself,
+    whose Frobenius norm is about 42 times larger.
+    """
+    rng = np.random.default_rng(1)
+    g = rng.standard_normal((6, 6))
+    a = (g + g.T) / 2
+    g = rng.standard_normal((6, 6))
+    b = (g + g.T) / 2
+    k = rng.standard_normal((6, 6))
+    return a + 50.0 * (k - k.T), b
+
+
+def test_bs_contract_reads_the_symmetric_parts():
+    # The identity runs on the symmetric parts of A and B, and so does its
+    # contract: an antisymmetric part that the identity never sees must not
+    # widen it.  Both calls fail on item 2's defect, with one contract.
+    ak, b = asymmetric_pair()
+    f = shifted_absolute(-1e8)
+    with pytest.raises(SoundnessError) as raw:
+        birman_solomyak_delta(f, ak, b)
+    with pytest.raises(SoundnessError) as symmetric:
+        birman_solomyak_delta(f, as_symmetric(ak), b)
+    allowed = bs_residual_bound(as_symmetric(ak), b, 1.0)
+    assert raw.value.allowed == symmetric.value.allowed == allowed
+    assert raw.value.observed == symmetric.value.observed
 
 
 def test_bs_residual_bound_at_any_scale():

@@ -59,6 +59,8 @@ def test_config_validation():
                 {"emit_curves": "no"},
                 # The output path is a CLI setting (--out), not a config field.
                 {"out": 1}, {"out": 3.5}, {"out": "report.csv"},
+                # The function a config builds from "function" is not a field either.
+                {"f": {"kind": "abs"}},
                 # A function kind that is not a string, and fields no constructor takes.
                 {"function": {"kind": ["abs"]}}, {"function": {"kind": {"abs": 1}}},
                 {"function": {"kind": "smooth_ramp", "delat": 0.5}},
@@ -316,11 +318,10 @@ def test_instance_working_set(experiment, limit):
     # for the others; the limits keep them from coming back.  LAPACK's own
     # buffers are not traced.
     cfg, dim = golden_config(experiment), 256
-    f = sweeps.function_from_spec(cfg.function)
-    sweeps._instance(cfg, f, 8, 0)  # first-call allocations are not the instance's
+    sweeps._instance(cfg, 8, 0)  # first-call allocations are not the instance's
     tracemalloc.start()
     try:
-        sweeps._instance(cfg, f, dim, 0)
+        sweeps._instance(cfg, dim, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,14 +377,14 @@ def instance_pids(tmp_path, monkeypatch):
 
 
 def test_a_sweep_builds_its_function_once(monkeypatch):
-    # Once for the whole sweep, not once per instance.
-    cfg = cfg_with(experiment="trace_class", dimensions=[4, 6], ensemble=3,
-                   function={"kind": "pwl", "breakpoints": [-1.0, 0.0, 1.0], "seed": 7})
+    # Once for the whole sweep, when its config is built, not once per instance.
     calls = []
     build = sweeps.function_from_spec
     monkeypatch.setattr(sweeps, "function_from_spec",
                         lambda spec: calls.append(spec) or build(spec))
     monkeypatch.setattr(sweeps, "_cores", lambda: 1)
+    cfg = cfg_with(experiment="trace_class", dimensions=[4, 6], ensemble=3,
+                   function={"kind": "pwl", "breakpoints": [-1.0, 0.0, 1.0], "seed": 7})
     assert len(run_sweep(cfg).rows) == 6
     assert calls == [cfg.function]
 
