@@ -82,6 +82,15 @@ def test_bscheck_ok(matrices, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["fdelta", "doi", "bscheck"])
+def test_matrix_command_help_names_the_function(capsys, command):
+    # The three matrix commands share one argument set, --function included.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--function" in capsys.readouterr().out
+
+
 _2X2 = (np.array([[0.0, 1e10], [-1e10, 1.0]]), np.eye(2))
 
 
@@ -645,6 +654,12 @@ def _calls(draw):
 _NOT_UTF8 = b"\xff\xfe"
 
 
+def _rank_one_428(function: dict) -> str:
+    """A rank_one sweep config at dimensions [6, 4], one instance, seed 428."""
+    return json.dumps({"experiment": "rank_one", "dimensions": [6, 4], "ensemble": 1,
+                       "seed": 428, "function": function})
+
+
 @settings(max_examples=400, deadline=None)
 @given(_calls())
 @example((["fdelta", "--function", '{"kind": "smooth_ramp", "delta": 1e200}',
@@ -692,6 +707,17 @@ _NOT_UTF8 = b"\xff\xfe"
 @example((["certify", "--input", "{dir}/kop.txt", "--n=1"],
           {"kop.txt": "MU\n0.0 1.0 1.33806541695829e-83\nNU\n0.0 1.0 1.2348470881346155e-265\n"
                       'FUNCTION\n{"kind": "abs"}\n'}))
+# Valid rank_one sweeps that exit 3 today (ROADMAP item 2): the values of f at
+# the spectra dwarf their differences, so the two spectral calculi round far
+# above the Birman-Solomyak residual contract.
+@example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _rank_one_428(
+    {"kind": "smooth_ramp", "delta": 6.695e16})}))
+@example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _rank_one_428(
+    {"kind": "shifted_abs", "t": -1.05e16})}))
+@example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _rank_one_428(
+    {"kind": "shifted_abs", "t": -4.4e205})}))
+@example((["sweep", "--config", "{dir}/cfg.json"], {"cfg.json": _rank_one_428(
+    {"kind": "pwl", "breakpoints": [-1.05e96, 0.0], "seed": 1})}))
 def test_cli_fuzz_exits_0_2_or_3(call):
     # RuntimeWarnings are errors in this suite: extreme input is rejected by a
     # check, never after numpy warns.
