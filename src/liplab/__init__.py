@@ -16,9 +16,9 @@ from .functions import (LipschitzFunction, absolute_value, apply_function, clamp
                         piecewise_linear, shifted_absolute, smooth_ramp)
 from .ideals import (s_Omega_norm, s_omega_norm, schatten_norm, singular_spectrum,
                      singular_value_at, weak_s1_quasinorm)
-from .linalg import SpectralDecomposition, eigh_symmetric, read_matrix, svd, write_matrix
+from .linalg import SpectralDecomposition, eigh_symmetric, read_matrix, svd
 from .measures import (DiscreteMeasure, WeightedKernelOperator, kernel_operator, materialize,
-                       read_kernel_operator, write_kernel_operator)
+                       read_kernel_operator)
 from .rng import make_rng, random_kernel_operator, random_orthogonal, random_symmetric
 from .sweeps import ExperimentReport, SweepConfig, emit_report, load_config, run_sweep
 

@@ -34,7 +34,7 @@ from .functions import LipschitzFunction, apply_function, loewner_blocks
 from .linalg import SpectralDecomposition, as_matrix, as_symmetric, eigh_symmetric, frobenius
 
 # Residual contract for the Birman-Solomyak identity, relative to
-# (1 + ||A||_F + ||B||_F) * lip.
+# (||A||_F + ||B||_F) * lip.
 BS_RESIDUAL_TOL = 1e-8
 
 # Relative slack for the entrywise Schur-multiplier S2 bound.
@@ -62,6 +62,7 @@ def eigenbasis_product(f: LipschitzFunction, lam: np.ndarray, mu: np.ndarray, x:
         raise ValidationError("lip * ||T||_F exceeds the float range")
     for rows, block in loewner_blocks(f, lam, mu):
         x[rows] *= block
+        del block
     SoundnessError.require("S2 Schur-multiplier bound violated", frobenius(x), allowed)
     return x
 
@@ -86,7 +87,7 @@ def _require_shape(name: str, m: np.ndarray, shape: tuple) -> None:
 
 def bs_residual_bound(a, b, lip: float) -> float:
     """The residual contract at the symmetric pair a, b: 0.0 at lip = 0, ValidationError if inf."""
-    bound = BS_RESIDUAL_TOL * (1.0 + frobenius(a) + frobenius(b)) * float(lip) if lip else 0.0
+    bound = BS_RESIDUAL_TOL * (frobenius(a) + frobenius(b)) * float(lip) if lip else 0.0
     if not math.isfinite(bound):
         raise ValidationError("the Birman-Solomyak contract exceeds the float range")
     return bound

@@ -12,7 +12,7 @@ parameters with functools.partial, so every LipschitzFunction built here pickles
 from __future__ import annotations
 
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -29,7 +29,6 @@ class LipschitzFunction:
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
     lip: float
-    spec: dict = field(default_factory=dict)
 
     def at(self, points, where: str) -> np.ndarray:
         """f at points; a ValidationError, not a warning, names where and the first non-finite."""
@@ -43,7 +42,7 @@ class LipschitzFunction:
 
 
 def absolute_value() -> LipschitzFunction:
-    return LipschitzFunction("abs", np.abs, 1.0, {"kind": "abs"})
+    return LipschitzFunction("abs", np.abs, 1.0)
 
 
 def _shifted_abs(t, x):
@@ -52,13 +51,11 @@ def _shifted_abs(t, x):
 
 def shifted_absolute(t: float) -> LipschitzFunction:
     t = checked(t, float, "shifted_abs t")
-    return LipschitzFunction(f"abs(x-{t!r})", partial(_shifted_abs, t), 1.0,
-                             {"kind": "shifted_abs", "t": t})
+    return LipschitzFunction(f"abs(x-{t!r})", partial(_shifted_abs, t), 1.0)
 
 
 def clamp_function() -> LipschitzFunction:
-    return LipschitzFunction("clamp", partial(np.clip, a_min=-1.0, a_max=1.0), 1.0,
-                             {"kind": "clamp"})
+    return LipschitzFunction("clamp", partial(np.clip, a_min=-1.0, a_max=1.0), 1.0)
 
 
 def _ramp(d, x):
@@ -69,18 +66,16 @@ def smooth_ramp(delta: float = 0.1) -> LipschitzFunction:
     delta = checked(delta, float, "smooth_ramp delta")
     if not delta > 0:
         raise ValidationError("smooth_ramp requires delta > 0")
-    return LipschitzFunction(f"ramp(d={delta!r})", partial(_ramp, delta), 1.0,
-                             {"kind": "smooth_ramp", "delta": delta})
+    return LipschitzFunction(f"ramp(d={delta!r})", partial(_ramp, delta), 1.0)
 
 
 def identity_function() -> LipschitzFunction:
-    return LipschitzFunction("identity", np.positive, 1.0, {"kind": "identity"})
+    return LipschitzFunction("identity", np.positive, 1.0)
 
 
 def constant_function(c: float = 0.0) -> LipschitzFunction:
     c = checked(c, float, "constant c")
-    return LipschitzFunction(f"const({c!r})", partial(np.full_like, fill_value=c), 0.0,
-                             {"kind": "constant", "c": c})
+    return LipschitzFunction(f"const({c!r})", partial(np.full_like, fill_value=c), 0.0)
 
 
 def _pwl(nodes, values, slopes, x):
@@ -111,12 +106,7 @@ def piecewise_linear(breakpoints, seed: int) -> LipschitzFunction:
         values = np.concatenate([[0.0], np.cumsum(slopes[1:-1] * np.diff(nodes))])
     if not np.all(np.isfinite(values)):
         raise ValidationError("pwl node values exceed the float range")
-    return LipschitzFunction(
-        f"pwl(seed={seed})",
-        partial(_pwl, nodes, values, slopes),
-        1.0,
-        {"kind": "pwl", "breakpoints": [float(t) for t in nodes], "seed": seed},
-    )
+    return LipschitzFunction(f"pwl(seed={seed})", partial(_pwl, nodes, values, slopes), 1.0)
 
 
 _KINDS = {

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, float_rows, read_lines, write_text
+from .errors import ConvergenceError, ValidationError, float_rows, read_lines
 
 # Frame orthonormality tolerance, per unit of dimension.
 ORTHONORMALITY_TOL = 1e-12
-# Reconstruction residual tolerance for eigendecompositions, relative to 1 + ||A||_F.
+# Reconstruction residual tolerance for eigendecompositions, relative to ||A||_F.
 EIG_RESIDUAL_TOL = 1e-10
-# Reconstruction residual tolerance for SVD, relative to 1 + ||M||_F.
+# Reconstruction residual tolerance for SVD, relative to ||M||_F.
 SVD_RESIDUAL_TOL = 1e-9
 # Entries per row block of the dense kernel passes: a block and its temporaries
 # stay in L2 cache (2**15 ran the certificate residual 2x faster than 2**17).
@@ -120,7 +120,7 @@ def eigh_symmetric(a) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     The returned frame satisfies frame^T frame = I to ORTHONORMALITY_TOL * dim
-    and reconstructs the input to max(1e-12, floor) * (1 + ||A||_F), capped at
+    and reconstructs the input to max(1e-12, floor) * ||A||_F, capped at
     EIG_RESIDUAL_TOL, where the floor 16 * dim * eps is the attainable rounding
     level at the given dimension.  Raises ConvergenceError if the contract
     cannot be met.
@@ -131,7 +131,7 @@ def eigh_symmetric(a) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:  # LAPACK gives up on extreme dynamic ranges
         raise ConvergenceError(f"eigendecomposition failed at dim {m.shape[0]}: {exc}") from exc
     dec = SpectralDecomposition(vals, frame)
-    scale = 1.0 + frobenius(m)
+    scale = frobenius(m)
     floor = 16 * m.shape[0] * np.finfo(float).eps
     rebuilt = (frame * vals) @ frame.T
     residual = frobenius(np.subtract(m, rebuilt, out=rebuilt))
@@ -146,7 +146,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin singular value decomposition M = U diag(s) V^T.
 
     Returns (s, U, V) with s nonincreasing and nonnegative.  The reconstruction
-    residual contract is SVD_RESIDUAL_TOL * (1 + ||M||_F).  Raises
+    residual contract is SVD_RESIDUAL_TOL * ||M||_F.  Raises
     ConvergenceError if LAPACK does not converge or the contract is not met.
     """
     mat = as_matrix(m)
@@ -154,7 +154,7 @@ def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"svd failed at shape {mat.shape}: {exc}") from exc
-    scale = 1.0 + frobenius(mat)
+    scale = frobenius(mat)
     residual = frobenius(mat - (u * s) @ vh)
     if not residual <= SVD_RESIDUAL_TOL * scale:
         raise ConvergenceError(f"svd residual {residual:.3e} exceeds contract")
@@ -170,11 +170,6 @@ def matrix_text(m) -> str:
     for row in mat:
         lines.append(" ".join(repr(float(x)) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def write_matrix(path, m) -> None:
-    """Write a matrix in the text format of matrix_text."""
-    write_text(path, matrix_text(m), "matrix file")
 
 
 def read_matrix(path) -> np.ndarray:

@@ -9,19 +9,18 @@ atom bases the operator is the matrix
 
     M[i, j] = sqrt(mu_i) phi(x_i) dd_f(x_i, y_j) psi(y_j) sqrt(nu_j).
 
-File format (read/write_kernel_operator), each section exactly once: a MU section
+File format (read_kernel_operator), each section exactly once: a MU section
 with "x mass phi" lines, a NU section with "y mass psi" lines, and a FUNCTION
 section holding a one-line JSON function spec.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, float_rows, parse_json, read_lines, write_text
+from .errors import ValidationError, float_rows, parse_json, read_lines
 from .functions import LipschitzFunction, function_from_spec, loewner_blocks
 from .linalg import frobenius
 
@@ -136,18 +135,6 @@ def materialize(kop: WeightedKernelOperator) -> np.ndarray:
             row = rows.start + np.argwhere(~np.isfinite(out[rows]))[0, 0]
             raise ValidationError(f"an operator entry in row {row} exceeds the float range")
     return out
-
-
-def write_kernel_operator(path, kop: WeightedKernelOperator) -> None:
-    if not kop.f.spec:
-        raise ValidationError(f"function {kop.f.name} has no serializable spec")
-    lines = []
-    for label, measure, weights in (("MU", kop.mu, kop.phi), ("NU", kop.nu, kop.psi)):
-        lines.append(label)
-        for x, m, w in zip(measure.positions, measure.masses, weights):
-            lines.append(f"{float(x)!r} {float(m)!r} {float(w)!r}")
-    lines += ["FUNCTION", json.dumps(kop.f.spec, sort_keys=True)]
-    write_text(path, "\n".join(lines) + "\n", "operator file")
 
 
 def read_kernel_operator(path) -> WeightedKernelOperator:

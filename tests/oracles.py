@@ -8,16 +8,35 @@ path lives on here as the oracle it must agree with.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from liplab.certificate import CAP_SLACK, DEFECT_ANGLE_TOL, IntervalPartition, partition
 from liplab.errors import ValidationError
 from liplab.functions import LipschitzFunction
-from liplab.linalg import frobenius
+from liplab.linalg import frobenius, matrix_text
 from liplab.measures import WeightedKernelOperator, materialize
+
+
+def write_matrix(path, m) -> None:
+    """A matrix file, in the text format that liplab reads and prints (matrix_text)."""
+    Path(path).write_text(matrix_text(m))
+
+
+def write_operator(path, kop: WeightedKernelOperator, spec: dict) -> None:
+    """An operator file: kop's atoms and weights, and spec, the JSON of its function."""
+    lines = []
+    for label, measure, weights in (("MU", kop.mu, kop.phi), ("NU", kop.nu, kop.psi)):
+        lines.append(label)
+        lines += [f"{float(x)!r} {float(m)!r} {float(w)!r}"
+                  for x, m, w in zip(measure.positions, measure.masses, weights)]
+    lines += ["FUNCTION", json.dumps(spec, sort_keys=True)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def estimate_lip_seminorm(f: LipschitzFunction, grid) -> float:
@@ -265,3 +284,74 @@ def exact_defect_rank(positions, coordinates, heavy, fvalues, edges) -> int:
         if c != 0.0 and i not in heavy:
             values.setdefault(bisect_right(interior, float(pos)), set()).add(Fraction(float(fv)))
     return sum(min(2, len(v)) for v in values.values())
+
+
+class HouseholderPair(NamedTuple):
+    """A = H1 diag(lam) H1 and B = H2 diag(mu) H2 in floats, with H1, lam, H2 and mu exact.
+
+    H = I - 2 v v^T / (v^T v) for an integer v is orthogonal with rational
+    entries; the frames and spectra are object arrays of Fractions.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    h1: np.ndarray
+    lam: np.ndarray
+    h2: np.ndarray
+    mu: np.ndarray
+
+
+def householder_pair(rng, d: int, offset: int = 0) -> HouseholderPair:
+    """Integer matrices A and B, exact in floats, with exact rational eigenframes.
+
+    Each v has entries in [-3, 3], not all 0, and each eigenvalue is
+    (k + offset) (v^T v)^2 for an integer k in [-50, 50], which makes H diag(lam) H
+    an integer matrix.  B's eigenvalues are drawn apart from A's: the double
+    operator integral takes 0, not f', where they meet (ROADMAP item 2).
+    """
+    sides, avoid = [], set()
+    for _ in range(2):
+        v = np.zeros(d, dtype=int)
+        while not v.any():
+            v = rng.integers(-3, 4, size=d)
+        n = int(v @ v)
+        h = np.eye(d, dtype=int).astype(object) - np.outer(v, v).astype(object) * Fraction(2, n)
+        spectrum = []
+        while len(spectrum) < d:
+            value = (int(rng.integers(-50, 51)) + offset) * n * n
+            if value not in avoid:
+                spectrum.append(Fraction(value))
+        avoid = set(spectrum)
+        m = h @ np.diag(np.array(spectrum, dtype=object)) @ h
+        if any(Fraction(e).denominator != 1 or abs(e) >= 2 ** 53 for e in m.flat):
+            raise ValidationError("H diag(lam) H is not an integer matrix exact in floats")
+        sides.append((m.astype(float), h, np.array(spectrum, dtype=object)))
+    (a, h1, lam), (b, h2, mu) = sides
+    return HouseholderPair(a, b, h1, lam, h2, mu)
+
+
+def exact_delta(f: LipschitzFunction, pair: HouseholderPair) -> np.ndarray:
+    """f(A) - f(B) in Fractions, for an f that is an integer at every integer eigenvalue."""
+    return (pair.h1 @ np.diag(_integer_values(f, pair.lam)) @ pair.h1
+            - pair.h2 @ np.diag(_integer_values(f, pair.mu)) @ pair.h2)
+
+
+def exact_doi(f: LipschitzFunction, pair: HouseholderPair, t) -> np.ndarray:
+    """H1 (L o (H1 T H2)) H2 in Fractions for an integer T, L the divided differences of f."""
+    loewner = (np.subtract.outer(_integer_values(f, pair.lam), _integer_values(f, pair.mu))
+               / np.subtract.outer(pair.lam, pair.mu))
+    return pair.h1 @ (loewner * (pair.h1 @ np.asarray(t).astype(object) @ pair.h2)) @ pair.h2
+
+
+def _integer_values(f: LipschitzFunction, spectrum) -> np.ndarray:
+    """f at an exact spectrum, where f must be an integer, as Fractions."""
+    values = f.at(spectrum.astype(float), "eigenvalue")
+    if not all(float(v).is_integer() for v in values):
+        raise ValidationError(f"{f.name} is not an integer at every eigenvalue")
+    return np.array([Fraction(int(v)) for v in values], dtype=object)
+
+
+def relative_error(got, exact) -> float:
+    """||got - exact||_F / ||exact||_F, exact a Fraction matrix rounded to floats."""
+    want = exact.astype(float)
+    return frobenius(got - want) / frobenius(want)

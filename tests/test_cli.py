@@ -18,11 +18,13 @@ from liplab import certificate, doi, measures, sweeps
 from liplab.certificate import build_certificate, certify
 from liplab.cli import main
 from liplab.errors import ValidationError, json_text
-from liplab.functions import absolute_value, constant_function, function_from_spec, smooth_ramp
+from liplab.functions import (absolute_value, apply_function, constant_function,
+                              function_from_spec, smooth_ramp)
 from liplab.ideals import singular_spectrum, singular_value_at, weak_s1_quasinorm
-from liplab.linalg import as_symmetric, read_matrix, write_matrix
-from liplab.measures import kernel_operator, materialize, write_kernel_operator
-from liplab.rng import make_rng, random_kernel_operator
+from liplab.linalg import as_symmetric, read_matrix
+from liplab.measures import kernel_operator, materialize
+from liplab.rng import make_rng, random_kernel_operator, random_symmetric
+from oracles import write_matrix, write_operator
 from test_certificate import fail_svd_off_main_thread
 from test_doi import asymmetric_pair
 from test_sweeps import GOLDEN_DIR, assert_matches_golden
@@ -97,7 +99,7 @@ _2X2 = (np.array([[0.0, 1e10], [-1e10, 1.0]]), np.eye(2))
 @pytest.mark.parametrize("command", ["fdelta", "doi", "bscheck"])
 @pytest.mark.parametrize("pair, spec, codes", [
     # A's antisymmetric part (1e10) must not enter the contract, which on its
-    # symmetric part diag(0, 1) against I2 is 3.414213562373095e-08.
+    # symmetric part diag(0, 1) against I2 is 2.414213562373095e-08.
     (_2X2, {"kind": "abs"}, {"fdelta": 0, "doi": 0, "bscheck": 0}),
     # ROADMAP item 2's false exit 3 (residual 2.9e-7 against 8.3e-8), reached the
     # same way from either file; the norm of A + K itself would allow 3.5e-6.
@@ -120,9 +122,76 @@ def test_matrix_commands_read_the_symmetric_parts(tmp_path, capsys, command, pai
     code, out, err = results[0]
     assert code == codes[command]
     if command == "bscheck" and code == 0:
-        assert out.splitlines()[1] == "contract 3.414213562373095e-08"
+        assert out.splitlines()[1] == "contract 2.414213562373095e-08"
     if code == 3:
         assert out == "" and err.startswith("unsound: Birman-Solomyak residual out of contract")
+
+
+# Each function with its scale parameters at scale s; clamp is left out, its +-1 is fixed.
+_SCALED_SPECS = {
+    "abs": lambda s: {"kind": "abs"},
+    "identity": lambda s: {"kind": "identity"},
+    "shifted_abs": lambda s: {"kind": "shifted_abs", "t": 0.3 * s},
+    "smooth_ramp": lambda s: {"kind": "smooth_ramp", "delta": 0.1 * s},
+    "pwl": lambda s: {"kind": "pwl", "breakpoints": [-s, 0.0, s], "seed": 7},
+    "constant": lambda s: {"kind": "constant", "c": 2.0 * s},
+}
+
+
+def _printed_numbers(command: str, out: str) -> list:
+    """The numbers a matrix command printed: bscheck's residual and contract, else the entries."""
+    lines = out.splitlines()
+    if command == "bscheck":
+        assert [line.split()[0] for line in lines] == ["residual", "contract", "OK"]
+        return [float(line.split()[1]) for line in lines[:2]]
+    return [float(v) for line in lines[1:] for v in line.split()]
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALED_SPECS))
+@pytest.mark.parametrize("command", ["fdelta", "doi", "bscheck"])
+def test_matrix_commands_are_scale_equivariant(tmp_path, capsys, command, kind):
+    # Scaling A, B, T and f's scale parameters by 2^k is exact in floats, and so
+    # is every quantity the commands print, contracts included: each is 2^k
+    # times its value at k = 0, with the same exit code.
+    rng = make_rng(1)
+    mats = [random_symmetric(rng, 5) for _ in "ABT"]
+    names = ["A", "B", "T"] if command == "doi" else ["A", "B"]
+    results = {}
+    for k in (-60, -30, 0, 30, 60):
+        s = 2.0 ** k
+        for name, m in zip("ABT", mats):
+            write_matrix(tmp_path / f"{name}.txt", s * m)
+        code = main([command, "--function", json.dumps(_SCALED_SPECS[kind](s)),
+                     *(str(tmp_path / f"{name}.txt") for name in names)])
+        results[k] = code, _printed_numbers(command, capsys.readouterr().out)
+    code, numbers = results[0]
+    assert code == 0 and numbers
+    for k, (code_k, numbers_k) in results.items():
+        assert code_k == code
+        assert numbers_k == [2.0 ** k * v for v in numbers], k
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-12])
+def test_planted_calculus_fault_exits_3_at_any_scale(tmp_path, monkeypatch, capsys, scale):
+    # f(A) taken 1.5 times too large is far outside the Birman-Solomyak contract
+    # at every scale, not only where ||A||_F + ||B||_F is near 1 or above.
+    first = []
+
+    def faulty(f, dec):
+        first.append(not first)
+        return 1.5 * apply_function(f, dec) if first[-1] else apply_function(f, dec)
+
+    monkeypatch.setattr(doi, "apply_function", faulty)
+    rng = make_rng(1)
+    for name in "AB":
+        write_matrix(tmp_path / f"{name}.txt", scale * random_symmetric(rng, 5))
+    for command in ("fdelta", "bscheck"):
+        first.clear()
+        assert main([command, "--function", '{"kind": "abs"}',
+                     str(tmp_path / "A.txt"), str(tmp_path / "B.txt")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("unsound: Birman-Solomyak residual out of contract")
 
 
 def test_function_spec_from_file(matrices):
@@ -172,7 +241,7 @@ def test_certify(tmp_path, capsys):
     rng = make_rng(5, 0)
     kop = random_kernel_operator(rng, absolute_value(), 25, 25)
     op_path = tmp_path / "kop.txt"
-    write_kernel_operator(op_path, kop)
+    write_operator(op_path, kop, {"kind": "abs"})
     out = tmp_path / "certs.json"
     code = main(["certify", "--input", str(op_path), "--n", "2,4", "--out", str(out)])
     assert code == 0
@@ -217,7 +286,7 @@ def test_certify_rejects_overflowing_intermediates(tmp_path, monkeypatch, mu, nu
         certify(kop, n_values)
     with pytest.raises(ValidationError, match="float range"):
         build_certificate(kop, n_values[0])
-    write_kernel_operator(tmp_path / "kop.txt", kop)
+    write_operator(tmp_path / "kop.txt", kop, spec)
     assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", n]) == 2
     # Rejected before the SVD: its thread never started.
     assert spectra == []
@@ -249,7 +318,7 @@ def test_certify_bad_n(tmp_path, materialize_calls):
     rng = make_rng(6, 0)
     kop = random_kernel_operator(rng, absolute_value(), 10, 10)
     op_path = tmp_path / "kop.txt"
-    write_kernel_operator(op_path, kop)
+    write_operator(op_path, kop, {"kind": "abs"})
     assert main(["certify", "--input", str(op_path), "--n", "0"]) == 2
     assert main(["certify", "--input", str(op_path), "--n", ""]) == 2
     assert main(["certify", "--input", str(op_path), "--n", "a"]) == 2
@@ -287,7 +356,7 @@ def test_certify_and_certificate_sweep_materialize_once(tmp_path, monkeypatch, m
     assert calls == []
     kop = random_kernel_operator(make_rng(7, 0), absolute_value(), 30, 30)
     op_path = tmp_path / "kop.txt"
-    write_kernel_operator(op_path, kop)
+    write_operator(op_path, kop, {"kind": "abs"})
     assert main(["certify", "--input", str(op_path), "--n", "2,4,8",
                  "--out", str(tmp_path / "certs.json")]) == 0
     assert len(calls) == 1
@@ -304,7 +373,7 @@ def test_certify_zero_kernel_ignores_the_function(tmp_path):
     # every atom, is never evaluated.
     kop = kernel_operator([0.5, 1.5], [1.0, 1.0], [0.0, 0.0], [-1.0, 2.0], [1.0, 1.0],
                           [1.0, 1.0], smooth_ramp(1e200))
-    write_kernel_operator(tmp_path / "kop.txt", kop)
+    write_operator(tmp_path / "kop.txt", kop, {"kind": "smooth_ramp", "delta": 1e200})
     out = tmp_path / "certs.json"
     assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "2,4",
                  "--out", str(out)]) == 0
@@ -320,7 +389,7 @@ def test_certify_zero_kernel_wider_than_the_float_range(tmp_path, capsys):
     # flat bounds may evaluate (a RuntimeWarning is an error under pytest).
     kop = kernel_operator([-1e308, 1e308], [0.5, 0.5], [0.0, 0.0], [0.0, 1.0], [0.5, 0.5],
                           [1.0, 1.0], absolute_value())
-    write_kernel_operator(tmp_path / "kop.txt", kop)
+    write_operator(tmp_path / "kop.txt", kop, {"kind": "abs"})
     assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "2"]) == 0
     captured = capsys.readouterr()
     assert captured.err == "n=2: s_0 <= 0.0 (observed 0.0) OK\n"
@@ -374,7 +443,7 @@ _EXTREME_B = [[-8e307, 7e307], [7e307, 8e307]]
 
 
 @pytest.mark.parametrize("command, spec, mats", [
-    # 1 + ||A||_F + ||B||_F is beyond the float range, so is the residual contract.
+    # ||A||_F + ||B||_F is beyond the float range, so is the residual contract.
     ("bscheck", {"kind": "abs"}, [_EXTREME_A, _EXTREME_B]),
     ("bscheck", {"kind": "clamp"}, [_EXTREME_A, _EXTREME_B]),
     # ||T||_F is beyond the float range, so is the S2 bound.
@@ -422,7 +491,7 @@ def test_certify_at_any_weight_scale(tmp_path, capsys, phi, psi):
     # certificate s_0 <= 0) or overflow to inf (a NaN norm product, exit 3).
     kop = kernel_operator([0.0, 1.0], [1.0, 1.0], phi, [0.5, 2.0], [1.0, 1.0], psi,
                           absolute_value())
-    write_kernel_operator(tmp_path / "kop.txt", kop)
+    write_operator(tmp_path / "kop.txt", kop, {"kind": "abs"})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "1,2"]) == 0
@@ -444,7 +513,7 @@ def test_certify_norms_outside_the_normal_float_range_exit_2(tmp_path, capsys, p
     # M = [[0]] fits, but the scale of its bounds overflows or underflows, or
     # ||psi|| is subnormal, too coarse to normalize by.
     kop = kernel_operator([-1.0], [1.0], [phi], [1.0], [1.0], [psi], absolute_value())
-    write_kernel_operator(tmp_path / "kop.txt", kop)
+    write_operator(tmp_path / "kop.txt", kop, {"kind": "abs"})
     assert main(["certify", "--input", str(tmp_path / "kop.txt"), "--n", "1"]) == 2
     assert capsys.readouterr().err.endswith("is outside the normal float range\n")
 
@@ -460,7 +529,7 @@ def test_certify_rejects_a_repeated_section(tmp_path, capsys):
 
 @pytest.mark.parametrize("a, b", [
     ([[1.0, 0.5], [0.5, -1.0]], [[0.0, 0.3], [0.3, 2.0]]),
-    # 1 + ||A||_F + ||B||_F overflows, but no contract is formed at lip = 0.
+    # ||A||_F + ||B||_F overflows, but no contract is formed at lip = 0.
     (np.diag([8e307, 8e307]), np.diag([8e307, 8e307])),
 ], ids=["small", "norms-beyond-float-range"])
 def test_bscheck_applies_no_contract_at_lip_0(tmp_path, capsys, a, b):
@@ -543,8 +612,8 @@ def test_function_non_finite_at_data_exits_2(matrices, monkeypatch):
     assert main(["doi", "--function", spec, str(matrices / "A.txt"),
                  str(matrices / "B.txt"), str(matrices / "T.txt")]) == 2
     op_path = matrices / "kop.txt"
-    write_kernel_operator(op_path, random_kernel_operator(
-        make_rng(8, 0), function_from_spec(json.loads(spec)), 10, 10))
+    write_operator(op_path, random_kernel_operator(
+        make_rng(8, 0), function_from_spec(json.loads(spec)), 10, 10), json.loads(spec))
     assert main(["certify", "--input", str(op_path), "--n", "2"]) == 2
     for experiment in sweeps.EXPERIMENTS:
         for ensemble in (1, 2):

@@ -13,6 +13,7 @@ from liplab.functions import (LipschitzFunction, absolute_value, apply_function,
 from liplab.ideals import schatten_norm, singular_spectrum
 from liplab.linalg import SpectralDecomposition, as_symmetric, eigh_symmetric, frobenius
 from liplab.rng import make_rng, random_orthogonal, random_symmetric, random_unit
+from oracles import exact_delta, exact_doi, householder_pair, relative_error
 
 
 def test_doi_constant_function_vanishes():
@@ -289,12 +290,35 @@ def test_bs_contract_reads_the_symmetric_parts():
 
 def test_bs_residual_bound_at_any_scale():
     a = np.array([[1.0, 0.5], [0.5, -1.0]])
-    assert bs_residual_bound(a, -a, 1.0) == 1e-8 * (1.0 + frobenius(a) + frobenius(-a))
+    assert bs_residual_bound(a, -a, 1.0) == 1e-8 * (frobenius(a) + frobenius(-a))
+    # The contract scales with the pair: no absolute floor below unit scale.
+    for k in (-60, 60):
+        s = 2.0 ** k
+        assert bs_residual_bound(s * a, -s * a, 1.0) == s * bs_residual_bound(a, -a, 1.0)
     # ||A||_F + ||B||_F overflows: no contract at lip = 0, none in the float range at lip = 1.
     big = np.diag([1e308, 1e308])
     assert bs_residual_bound(big, big, 0.0) == 0.0
     with pytest.raises(ValidationError, match="contract exceeds the float range"):
         bs_residual_bound(big, big, 1.0)
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_householder_pairs_match_the_exact_answers(d):
+    # Non-commuting integer pairs with exact answers (ROADMAP item 18): f(A) -
+    # f(B) as fdelta prints it, and doi_apply of an integer T, each within
+    # 1e-12 relative of the Fraction oracle.  Each case is (f, offset), the
+    # spectra moved up by offset (v^T v)^2.
+    cases = [(absolute_value(), 0), (identity_function(), 0), (shifted_absolute(-1e6), 0),
+             (shifted_absolute(0.0), 10),
+             (piecewise_linear([-20000, -300, 0, 4000, 90000], 7), 0)]
+    rng = make_rng(18, d)
+    for f, offset in cases:
+        pair = householder_pair(rng, d, offset)
+        t = rng.integers(-5, 6, size=(d, d))
+        delta = birman_solomyak_delta(f, pair.a, pair.b)[0]
+        assert relative_error(delta, exact_delta(f, pair)) <= 1e-12, f.name
+        integral = doi_apply(f, eigh_symmetric(pair.a), eigh_symmetric(pair.b), t)
+        assert relative_error(integral, exact_doi(f, pair, t)) <= 1e-12, f.name
 
 
 def test_rank_one_trace_norm():

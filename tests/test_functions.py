@@ -227,26 +227,35 @@ def test_pwl_validation():
             piecewise_linear(breakpoints, 1)
 
 
+# Every kind's spec fields, a value for each, and the constructor the kind names.
+FIELDS = {"abs": {}, "shifted_abs": {"t": 0.3}, "clamp": {}, "smooth_ramp": {"delta": 0.25},
+          "identity": {}, "constant": {"c": -2.5},
+          "pwl": {"breakpoints": [-1.5, 0.0, 0.25, 2.0], "seed": 7}}
+CONSTRUCTORS = {"abs": absolute_value, "shifted_abs": shifted_absolute, "clamp": clamp_function,
+                "smooth_ramp": smooth_ramp, "identity": identity_function,
+                "constant": constant_function, "pwl": piecewise_linear}
+
+
 def test_function_from_spec_roundtrip():
-    for f in default_suite() + [identity_function(), constant_function(2.0)]:
-        rebuilt = function_from_spec(f.spec)
-        x = np.linspace(-4, 4, 50)
-        np.testing.assert_array_equal(rebuilt.at(x, "x"), f.at(x, "x"))
-        assert rebuilt.lip == f.lip
+    # A spec builds the function its kind's constructor builds from the same fields.
+    assert sorted(FIELDS) == sorted(CONSTRUCTORS) == sorted(functions._KINDS)
+    x = np.linspace(-4, 4, 50)
+    for kind, fields in FIELDS.items():
+        f = CONSTRUCTORS[kind](**fields)
+        rebuilt = function_from_spec({"kind": kind, **fields})
+        assert (rebuilt.name, rebuilt.lip) == (f.name, f.lip)
+        np.testing.assert_array_equal(rebuilt.at(x, "x").view(np.int64),
+                                      f.at(x, "x").view(np.int64))
 
 
 def test_every_function_pickles_with_the_same_values():
     # A sweep hands its function to its worker processes pickled.
-    fields = {"abs": {}, "shifted_abs": {"t": 0.3}, "clamp": {}, "smooth_ramp": {"delta": 0.25},
-              "identity": {}, "constant": {"c": -2.5},
-              "pwl": {"breakpoints": [-1.5, 0.0, 0.25, 2.0], "seed": 7}}
-    assert sorted(fields) == sorted(functions._KINDS)
-    built = {kind: function_from_spec({"kind": kind, **f}) for kind, f in fields.items()}
+    built = {kind: function_from_spec({"kind": kind, **f}) for kind, f in FIELDS.items()}
     x = np.array([-0.0, 0.0, 0.3, -1.5, 0.25, 2.0, 1e6, -1e6, 1e6 + 0.25, -1e6 - 0.125,
                   *np.linspace(-3.0, 3.0, 25)])
     for f in built.values():
         back = pickle.loads(pickle.dumps(f))
-        assert (back.name, back.lip, back.spec) == (f.name, f.lip, f.spec)
+        assert (back.name, back.lip) == (f.name, f.lip)
         np.testing.assert_array_equal(back.at(x, "x").view(np.int64), f.at(x, "x").view(np.int64))
 
 
@@ -270,7 +279,6 @@ def test_function_from_spec_errors():
 def test_function_from_spec_takes_the_constructor_defaults():
     assert function_from_spec({"kind": "smooth_ramp"}).name == "ramp(d=0.1)"
     assert function_from_spec({"kind": "constant"}).name == "const(0.0)"
-    assert function_from_spec({"kind": "constant"}).spec == {"kind": "constant", "c": 0.0}
 
 
 # Any JSON value, and dicts with a known kind (or any value as kind) and some known fields.

@@ -9,7 +9,7 @@ from liplab.functions import absolute_value
 from liplab.ideals import singular_spectrum
 from liplab.linalg import (EIG_RESIDUAL_TOL, ORTHONORMALITY_TOL, SVD_RESIDUAL_TOL,
                            SpectralDecomposition, as_symmetric, eigh_symmetric, frobenius,
-                           read_matrix, svd, write_matrix)
+                           matrix_text, read_matrix, svd)
 from liplab.rng import make_rng, random_symmetric
 from oracles import complement_projector, orthonormal_columns
 
@@ -86,13 +86,32 @@ def test_svd_rejects_increasing_singular_values(monkeypatch):
         svd(np.diag([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-13])
+def test_zero_spectrum_with_the_true_frames_fails_at_any_scale(monkeypatch, scale):
+    # Every eigenvalue or singular value 0 rebuilds the zero matrix, a residual
+    # of ||A||_F: the contracts, relative to ||A||_F, reject it at every scale.
+    a = scale * random_symmetric(make_rng(1), 6)
+    eigh, lapack_svd = np.linalg.eigh, np.linalg.svd
+
+    def zero_svd(m, full_matrices):
+        u, s, vh = lapack_svd(m, full_matrices=full_matrices)
+        return u, np.zeros_like(s), vh
+
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(len(m)), eigh(m)[1]))
+    monkeypatch.setattr(np.linalg, "svd", zero_svd)
+    with pytest.raises(ConvergenceError, match="eigendecomposition residual"):
+        eigh_symmetric(a)
+    with pytest.raises(ConvergenceError, match="svd residual"):
+        svd(a)
+
+
 @pytest.mark.parametrize("dim", [2, 8, 32])
 def test_eigh_contracts_random(dim):
     rng = make_rng(100, dim)
     for _ in range(50):
         a = random_symmetric(rng, dim, scale=float(rng.uniform(0.1, 10.0)))
         dec = eigh_symmetric(a)
-        scale = 1.0 + frobenius(a)
+        scale = frobenius(a)
         assert np.abs(dec.frame.T @ dec.frame - np.eye(dim)).max() <= ORTHONORMALITY_TOL * dim
         recon = (dec.frame * dec.eigenvalues) @ dec.frame.T
         assert frobenius(a - recon) <= EIG_RESIDUAL_TOL * scale
@@ -147,7 +166,7 @@ def test_svd_contracts_random(shape):
     for _ in range(25):
         m = rng.standard_normal(shape)
         s, u, v = svd(m)
-        assert frobenius(m - (u * s) @ v.T) <= SVD_RESIDUAL_TOL * (1.0 + frobenius(m))
+        assert frobenius(m - (u * s) @ v.T) <= SVD_RESIDUAL_TOL * frobenius(m)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
 
 
@@ -246,7 +265,7 @@ def test_matrix_io_roundtrip(tmp_path):
     rng = make_rng(42)
     m = rng.standard_normal((3, 5)) * 1e-7  # exercises scientific notation
     path = tmp_path / "m.txt"
-    write_matrix(path, m)
+    path.write_text(matrix_text(m))
     np.testing.assert_array_equal(read_matrix(path), m)
 
 

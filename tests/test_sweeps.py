@@ -310,18 +310,18 @@ def test_report_matches_golden(experiment, tmp_path):
     ("rank_one", 8.5), ("trace_class", 6.5), ("matsaev", 6.5), ("interp", 6.5)])
 def test_instance_working_set(experiment, limit):
     # The traced peak of one instance at d = 256, in d x d float64 arrays, read
-    # as below at one BLAS thread (numpy 2.4): 7.78 for rank_one, which leaves
-    # 0.72 arrays of room, and 6.15 for the others.  rank_one peaks in the
+    # as below at one BLAS thread (numpy 2.4): 7.28 for rank_one, which leaves
+    # 1.22 arrays of room, and 6.15 for the others.  rank_one peaks in the
     # Loewner product of birman_solomyak_delta's integral, with A, B, both
-    # frames, f(A) - f(B) and X alive, and at this size two half-size Loewner
-    # blocks (eigenbasis_product's loop still holds the last one) and the next
-    # block's x - y.  The others peak in a QR of random_orthogonal with two
-    # frames (or one frame and U^T Q1 sigma) alive.  Copies of A and B,
-    # full-size temporaries in the checks and A - B held through the integral
-    # made 11.15 for rank_one (A - B alone, as doi_apply(f, da, db, A - B)
-    # holds it, makes 8.78), and holding both frames through the second QR
-    # made 7.15 for the others; the limits keep them from coming back.
-    # LAPACK's own buffers are not traced.
+    # frames, f(A) - f(B) and X alive, and at this size one half-size Loewner
+    # block, the one being formed, and its x - y: eigenbasis_product releases
+    # each block before the next (holding the last one made 7.78).  The others
+    # peak in a QR of random_orthogonal with two frames (or one frame and
+    # U^T Q1 sigma) alive.  Copies of A and B, full-size temporaries in the
+    # checks and A - B held through the integral made 11.15 for rank_one (A - B
+    # alone, as doi_apply(f, da, db, A - B) holds it, makes 8.28), and holding
+    # both frames through the second QR made 7.15 for the others; the limits
+    # keep them from coming back.  LAPACK's own buffers are not traced.
     cfg, dim = golden_config(experiment), 256
     sweeps._instance(cfg, 8, 0)  # first-call allocations are not the instance's
     tracemalloc.start()
