@@ -5,7 +5,8 @@ Each sweep draws a seeded random ensemble and reports how an output norm
 operator integral) compares to the matching input norm, per instance and as
 per-dimension maxima.  Bounded ratios across dimensions are the empirical
 signature of the dimension-free inequalities this package studies.  Identical
-configs (including the seed) produce byte-identical reports.
+configs (including the seed) produce byte-identical reports, and a JSON
+report's config, which load_config takes unchanged, reruns it.
 
 SweepConfig builds f once per sweep.  run_sweep is the only loop: it pins BLAS
 to one thread and runs the (size, instance) pairs on every available core, in
@@ -21,7 +22,7 @@ turns into exit 3, also when a worker raised it.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -102,6 +103,7 @@ class ExperimentReport:
     rows: list
     summary: dict
     curves: list = field(default_factory=list)
+    config: dict = field(default_factory=dict)  # the SweepConfig fields, as load_config takes them
 
 
 def _ratio(value: float, denom: float) -> float:
@@ -298,8 +300,9 @@ def run_sweep(cfg: SweepConfig) -> ExperimentReport:
             label = f"{exp.curve_label}{row[exp.size]}"
             curves += [{"label": label, "j": j, "s_j": float(s), "weighted": float((1 + j) * s)}
                        for j, s in enumerate(spectrum)]
+    config = {k.name: getattr(cfg, k.name) for k in fields(cfg) if k.init}
     return ExperimentReport(cfg.experiment, list(rows[0]), rows,
-                            exp.summary(rows, cfg.dimensions), curves)
+                            exp.summary(rows, cfg.dimensions), curves, config)
 
 
 def _instance(cfg: SweepConfig, size: int, idx: int):
@@ -406,8 +409,8 @@ def _csv_text(columns, rows) -> str:
 def emit_report(report: ExperimentReport, path: str, format: str = "csv") -> None:
     """Write a report deterministically; identical reports give identical bytes.
 
-    CSV carries the per-instance rows only (summary lives in the JSON form);
-    decay curves, when present, go to a sibling '<path>.curves.csv'.
+    CSV carries the per-instance rows only (summary and config live in the JSON
+    form); decay curves, when present, go to a sibling '<path>.curves.csv'.
     """
     if format == "json":
         write_text(path, json_text(asdict(report)), "report")

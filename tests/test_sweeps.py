@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -215,12 +216,8 @@ def test_json_roundtrip(tmp_path):
     report = run_sweep(cfg)
     path = tmp_path / "r.json"
     emit_report(report, path, "json")
-    back = json.loads(path.read_text())
-    assert back["experiment"] == report.experiment
-    assert back["columns"] == report.columns
-    assert back["rows"] == json.loads(json.dumps(report.rows))
-    assert back["summary"] == json.loads(json.dumps(report.summary))
-    assert back["curves"] == json.loads(json.dumps(report.curves))
+    assert json.loads(path.read_text()) == json.loads(json.dumps(asdict(report)))
+    assert load_config(report.config) == cfg
 
 
 def test_curves_are_decay_triples():
@@ -254,24 +251,21 @@ def test_emit_report_bad_format(tmp_path):
         emit_report(report, tmp_path / "x", "yaml")
 
 
-# Fixed configs behind the reports in tests/golden/<experiment>.json.  Each
-# golden file is emit_report(run_sweep(load_config(config)), path, "json").
+# The sweep reports in tests/golden/<experiment>.json: each is
+# emit_report(run_sweep(load_config(config)), path, "json") of the config it carries.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-PWL = {"kind": "pwl", "breakpoints": [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], "seed": 3}
-GOLDEN_CONFIGS = {
-    "rank_one": {"function": {"kind": "abs"}},
-    "trace_class": {"function": {"kind": "abs"}},
-    "matsaev": {"function": PWL},
-    "interp": {"function": PWL, "p": 1.0, "epsilon": 0.5},
-    "certificate": {"function": {"kind": "abs"}, "dimensions": [20, 40], "n_values": [2, 4]},
-}
+
+
+def read_golden(name: str) -> dict:
+    return json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+
+
+GOLDEN_SWEEPS = sorted(path.stem for path in GOLDEN_DIR.glob("*.json")
+                       if "config" in read_golden(path.stem))
 
 
 def golden_config(experiment: str) -> SweepConfig:
-    data = {"experiment": experiment, "dimensions": [4, 8, 16], "ensemble": 2,
-            "seed": 905, "emit_curves": True, "format": "json"}
-    data.update(GOLDEN_CONFIGS[experiment])
-    return load_config(data)
+    return load_config(read_golden(experiment)["config"])
 
 
 def assert_matches_golden(value, ref, where="report"):
@@ -293,17 +287,13 @@ def assert_matches_golden(value, ref, where="report"):
         assert type(value) is type(ref) and value == ref, (where, value, ref)
 
 
-@pytest.mark.parametrize("experiment", sorted(GOLDEN_CONFIGS))
+@pytest.mark.parametrize("experiment", GOLDEN_SWEEPS)
 def test_report_matches_golden(experiment, tmp_path):
-    path = tmp_path / "report.json"
-    emit_report(run_sweep(golden_config(experiment)), path, "json")
-    report = json.loads(path.read_text())
-    golden = json.loads((GOLDEN_DIR / f"{experiment}.json").read_text())
-    assert report["experiment"] == golden["experiment"] == experiment
-    assert report["columns"] == golden["columns"]
-    assert [list(row) for row in report["rows"]] == [list(row) for row in golden["rows"]]
-    assert [c["label"] for c in report["curves"]] == [c["label"] for c in golden["curves"]]
-    assert_matches_golden(report, golden)
+    golden = read_golden(experiment)
+    emit_report(run_sweep(load_config(golden["config"])), tmp_path / "r.json", "json")
+    assert golden["experiment"] == experiment
+    # Every key list and every string exactly, every float to 1e-12.
+    assert_matches_golden(json.loads((tmp_path / "r.json").read_text()), golden)
 
 
 @pytest.mark.parametrize("experiment, limit", [
@@ -341,13 +331,12 @@ def report_bytes(report, directory: Path) -> dict:
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-# At dimension 128 a multi-threaded OpenBLAS changes rank_one's last digits, so this
-# config shows whether every path pins BLAS to one thread.
-_D128 = {"experiment": "rank_one", "dimensions": [128], "ensemble": 2, "seed": 905,
-         "function": {"kind": "abs"}, "emit_curves": True}
+# At dimension 128 a multi-threaded OpenBLAS changes rank_one's last digits, so the
+# rank_one golden's config at that size shows whether every path pins BLAS to one thread.
+_D128 = dict(read_golden("rank_one")["config"], dimensions=[128])
 
 
-@pytest.mark.parametrize("experiment", [*sorted(GOLDEN_CONFIGS), "rank_one_d128"])
+@pytest.mark.parametrize("experiment", [*GOLDEN_SWEEPS, "rank_one_d128"])
 def test_report_bytes_do_not_depend_on_worker_count(experiment, tmp_path, monkeypatch):
     cfg = load_config(_D128) if experiment == "rank_one_d128" else golden_config(experiment)
     reports = []
@@ -471,11 +460,11 @@ def test_sweep_workers_import_nothing(tmp_path):
     assert [imported for _, *imported in records if imported] == []
 
 
-@pytest.mark.parametrize("experiment", sorted(GOLDEN_CONFIGS))
+@pytest.mark.parametrize("experiment", GOLDEN_SWEEPS)
 def test_sweep_without_a_pinnable_blas_runs_here(experiment, instance_pids, monkeypatch,
                                                  tmp_path):
     monkeypatch.setattr(sweeps, "_openblas_threads", lambda: None)
     cfg = golden_config(experiment)
     report = json.loads(report_bytes(run_sweep(cfg), tmp_path / "report")["r.json"])
     assert instance_pids() == [os.getpid()] * (cfg.ensemble * len(cfg.dimensions))
-    assert_matches_golden(report, json.loads((GOLDEN_DIR / f"{experiment}.json").read_text()))
+    assert_matches_golden(report, read_golden(experiment))
